@@ -10,7 +10,7 @@ evidence pointers into the transcript.
 from dataclasses import replace
 from types import SimpleNamespace
 
-from . import terms, wire
+from . import terms
 from .channel import channel_recv, channel_send, handshake_client
 from .errors import RateLimited, ScreeningError
 from .scep import (
@@ -34,6 +34,7 @@ from .scenarios import (
     World,
     build_world,
     key_slot_uniqueness_assertion,
+    matching_client_sessions,
     scenario_honest_basic,
     scenario_honest_exemption,
     secrecy_assertions,
@@ -86,6 +87,7 @@ class MitmKeyserver(KeyserverRole):
                                    self.world.channel_ca.verify_key,
                                    self.backend, self.rng)
         net.register_channel(self.name, session)
+        # a relay: the client's bytes go out under whatever term they came in
         respond_frame = conn.send(channel_send(
             session, Payload(hello_plaintext,
                              hello_term or Payload.opaque(hello_plaintext).term)))
@@ -124,14 +126,13 @@ class MitmKeyserver(KeyserverRole):
                 break
             elems = [g.exp(self.backend.scalar(j + 2)).encode()
                      for j in range(batch)]
-            req = wire.pack_fields(b"ks-eval", omega_w, *elems)
-            term = terms.cat(terms.blob(b"ks-eval", "text"),
-                             terms.Atom("cookie", omega_w),
-                             *[terms.element_atom(e) for e in elems])
+            req = terms.cat(terms.blob(b"ks-eval", "text"),
+                            terms.Atom("cookie", omega_w),
+                            *map(terms.element_atom, elems))
             try:
                 from .screening import open_reply
                 open_reply(session, conn.send(channel_send(
-                    session, Payload(req, term))))
+                    session, Payload.of(req))))
                 self.drained += batch
             except RateLimited:
                 batch //= 2
@@ -306,19 +307,11 @@ def attack_mitm_rate_limit(variant: str = SCEP, seed: int = 7,
 
 
 def _unmatched_authenticated_sessions(world: World) -> list:
+    """Authenticated honest-server sessions without exactly one client."""
     net = world.net
-    out = []
-    for entry in net.server_sessions:
-        if not (entry["honest"] and entry["authenticated"]):
-            continue
-        sp = entry["session"].params()
-        matches = [c for c in net.client_sessions
-                   if c["server"] == entry["server"]
-                   and c["r_s"] == sp["r_s"] and c["r_w"] == sp["r_w"]
-                   and c["omega"] == sp["omega"]]
-        if not matches:
-            out.append(entry)
-    return out
+    return [entry for entry in net.server_sessions
+            if entry["honest"] and entry["authenticated"]
+            and len(matching_client_sessions(net, entry)) != 1]
 
 
 def _full_agreement_assertion(world: World) -> list:

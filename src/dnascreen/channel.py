@@ -139,6 +139,7 @@ def channel_send(session: ChannelSession, payload) -> Payload:
     if isinstance(payload, bytes):
         payload = Payload.opaque(payload)
     seq = session.send_seq
+    # a record frame is its header plus the ciphertext the Sealed term holds
     ct = aead_seal(session.send_key, seq, payload.data)
     frame = (bytes([session.send_dir]) + seq.to_bytes(8, "big")
              + len(ct).to_bytes(4, "big") + ct)
@@ -190,9 +191,8 @@ class ClientHandshake:
         self._c_fin = None
 
     def client_hello(self) -> Payload:
-        data = wire.pack_fields(b"client-hello", self.r_c)
-        return Payload(data, terms.cat(terms.blob(b"client-hello", "text"),
-                                       terms.nonce(self.r_c)))
+        return Payload.of(terms.cat(terms.blob(b"client-hello", "text"),
+                                    terms.nonce(self.r_c)))
 
     def receive_server_flight(self, flight2: bytes) -> Payload:
         tag, r_s, ident_b, ske_pub_b, ske_sig = wire.expect_fields(flight2, 5)
@@ -224,12 +224,10 @@ class ClientHandshake:
         c_fin = aead_seal(c_write, FIN_SEQ, transcript)
         self._c_fin = c_fin
         client_pub = self.backend.generator.exp(self.e_c).encode()
-        data = wire.pack_fields(b"client-kex", client_pub, c_fin)
-        term = terms.cat(terms.blob(b"client-kex", "text"),
-                         terms.element_atom(client_pub),
-                         terms.Sealed(_key_label(c_write), FIN_SEQ,
-                                      terms.blob(transcript), c_fin))
-        return Payload(data, term)
+        return Payload.of(terms.cat(
+            terms.blob(b"client-kex", "text"), terms.element_atom(client_pub),
+            terms.Sealed(_key_label(c_write), FIN_SEQ, terms.blob(transcript),
+                         c_fin)))
 
     def receive_server_finished(self, flight4: bytes) -> ChannelSession:
         tag, s_fin = wire.expect_fields(flight4, 2)
@@ -272,15 +270,12 @@ class ServerHandshake:
         ske_pub = self.backend.generator.exp(self.e_s).encode()
         ske_sig = self.static_key.sign(
             wire.pack_fields(b"key-exchange", r_c, self.r_s, ske_pub))
-        data = wire.pack_fields(b"server-hello", self.r_s,
-                                self.identity.encode(), ske_pub, ske_sig)
-        self._flight2 = data
-        term = terms.cat(terms.blob(b"server-hello", "text"),
-                         terms.nonce(self.r_s),
-                         terms.blob(self.identity.encode()),
-                         terms.element_atom(ske_pub),
-                         terms.blob(ske_sig))
-        return Payload(data, term)
+        flight2 = Payload.of(terms.cat(
+            terms.blob(b"server-hello", "text"), terms.nonce(self.r_s),
+            terms.blob(self.identity.encode()), terms.element_atom(ske_pub),
+            terms.blob(ske_sig)))
+        self._flight2 = flight2.data
+        return flight2
 
     def receive_client_kex(self, flight3: bytes) -> Payload:
         tag, client_pub_b, c_fin = wire.expect_fields(flight3, 3)
@@ -306,11 +301,10 @@ class ServerHandshake:
         transcript = wire.digest_fields(pms, b"server-fin", self._r_c,
                                         self._flight2, c_fin)
         s_fin = aead_seal(s_write, FIN_SEQ, transcript)
-        data = wire.pack_fields(b"server-fin", s_fin)
-        term = terms.cat(terms.blob(b"server-fin", "text"),
-                         terms.Sealed(_key_label(s_write), FIN_SEQ,
-                                      terms.blob(transcript), s_fin))
-        return Payload(data, term)
+        return Payload.of(terms.cat(
+            terms.blob(b"server-fin", "text"),
+            terms.Sealed(_key_label(s_write), FIN_SEQ, terms.blob(transcript),
+                         s_fin)))
 
     @property
     def session(self) -> ChannelSession:

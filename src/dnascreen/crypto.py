@@ -273,14 +273,6 @@ class SigningKey:
         return self._seed
 
 
-def sign(sk: SigningKey, msg: bytes) -> bytes:
-    return sk.sign(msg)
-
-
-def verify(pk: VerifyKey, msg: bytes, sig: bytes) -> bool:
-    return pk.verify(msg, sig)
-
-
 # --- authenticated encryption ------------------------------------------------
 
 KEY_SIZE = 32

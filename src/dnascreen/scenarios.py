@@ -119,47 +119,15 @@ class World:
         self.channel_ca = SigningKey.generate(rng)
         ca_pub = self.channel_ca.verify_key
 
-        # Manufacturer hierarchy; the synthesizer mints its own token.
-        m_root, m_root_key = pki.create_root(
-            pki.MANUFACTURER, pki.Identity("F", "root@screening"), rng,
-            start, end)
-        mi_key = SigningKey.generate(rng)
-        m_inter = pki.issue_certificate(
-            m_root, m_root_key, pki.Identity("M-intermediate"),
-            mi_key.verify_key, pki.INTERMEDIATE, start, end, rng)
-        self.m_leaf_key = SigningKey.generate(rng)
-        m_leaf = pki.issue_certificate(
-            m_inter, mi_key, pki.Identity("M-leaf"),
-            self.m_leaf_key.verify_key, pki.LEAF, start, end, rng)
-        self.m_root, self.m_path = m_root, (m_leaf, m_inter, m_root)
-
-        # Infrastructure hierarchy for keyservers and the database.
-        i_root, i_root_key = pki.create_root(
-            pki.INFRASTRUCTURE, pki.Identity("F", "root@screening"), rng,
-            start, end)
-        ii_key = SigningKey.generate(rng)
-        i_inter = pki.issue_certificate(
-            i_root, i_root_key, pki.Identity("I-intermediate"),
-            ii_key.verify_key, pki.INTERMEDIATE, start, end, rng)
-        self.i_leaf_key = SigningKey.generate(rng)
-        i_leaf = pki.issue_certificate(
-            i_inter, ii_key, pki.Identity("I-leaf"),
-            self.i_leaf_key.verify_key, pki.LEAF, start, end, rng)
-        self.i_root, self.i_path = i_root, (i_leaf, i_inter, i_root)
-
-        # Exemption hierarchy; the ELT belongs to customer C1.
-        e_root, e_root_key = pki.create_root(
-            pki.EXEMPTION, pki.Identity("F", "root@screening"), rng,
-            start, end)
-        ei_key = SigningKey.generate(rng)
-        e_inter = pki.issue_certificate(
-            e_root, e_root_key, pki.Identity("E-intermediate"),
-            ei_key.verify_key, pki.INTERMEDIATE, start, end, rng)
-        self.e_leaf_key = SigningKey.generate(rng)
-        e_leaf = pki.issue_certificate(
-            e_inter, ei_key, pki.Identity("E-leaf"),
-            self.e_leaf_key.verify_key, pki.LEAF, start, end, rng)
-        self.e_root, self.e_path = e_root, (e_leaf, e_inter, e_root)
+        # Manufacturer hierarchy: the synthesizer mints its own token.
+        # Infrastructure: keyservers and the database. Exemption: the ELT,
+        # which belongs to customer C1.
+        self.m_root, self.m_path, self.m_leaf_key = _hierarchy(
+            pki.MANUFACTURER, "M", rng, start, end)
+        self.i_root, self.i_path, self.i_leaf_key = _hierarchy(
+            pki.INFRASTRUCTURE, "I", rng, start, end)
+        self.e_root, self.e_path, self.e_leaf_key = _hierarchy(
+            pki.EXEMPTION, "E", rng, start, end)
 
         self.device_id = "authdev-C1"
         self.device_secret = rng.randbytes(16)
@@ -168,7 +136,7 @@ class World:
         if config.elt_sequences:
             self.elt_subtoken_key = SigningKey.generate(rng)
             elt = pki.issue_token(
-                e_leaf, self.e_leaf_key, pki.TOKEN_EXEMPTION,
+                self.e_path[0], self.e_leaf_key, pki.TOKEN_EXEMPTION,
                 pki.ExemptionPayload(tuple(config.elt_sequences),
                                      self.device_id,
                                      self.elt_subtoken_key.verify_key),
@@ -191,13 +159,13 @@ class World:
             ident, static = issue_tls_identity(self.channel_ca, name, rng)
             tok_key = SigningKey.generate(rng)
             token = pki.issue_token(
-                i_leaf, self.i_leaf_key, pki.TOKEN_KEYSERVER,
+                self.i_path[0], self.i_leaf_key, pki.TOKEN_KEYSERVER,
                 pki.KeyserverPayload(shares[idx].index), pki.Identity(name),
                 tok_key.verify_key, start, end, rng)
             cfg = ScepServerConfig(
                 variant=config.scep_variant,
                 chain=pki.CertChain(path=self.i_path, token=token),
-                signing_key=tok_key, trusted_manufacturer_root=m_root)
+                signing_key=tok_key, trusted_manufacturer_root=self.m_root)
             role = KeyserverRole(name, self.backend, ident, static, cfg,
                                  shares[idx], rng,
                                  resumption_allowed=config.resumption)
@@ -207,7 +175,8 @@ class World:
         ident, static = issue_tls_identity(self.channel_ca, "H", rng)
         h_key = SigningKey.generate(rng)
         h_token = pki.issue_token(
-            i_leaf, self.i_leaf_key, pki.TOKEN_DATABASE, pki.DatabasePayload(),
+            self.i_path[0], self.i_leaf_key, pki.TOKEN_DATABASE,
+            pki.DatabasePayload(),
             pki.Identity("H"), h_key.verify_key, start, end, rng)
         self.hdb = HashedDbRole(
             "H", self.backend, ident, static,
@@ -215,8 +184,8 @@ class World:
                              chain=pki.CertChain(path=self.i_path,
                                                  token=h_token),
                              signing_key=h_key,
-                             trusted_manufacturer_root=m_root),
-            self.db, rng, exemption_root=e_root,
+                             trusted_manufacturer_root=self.m_root),
+            self.db, rng, exemption_root=self.e_root,
             auth_backend_name="A", channel_ca_key=ca_pub,
             bind_responses=config.bind_responses,
             include_hazard_info=config.include_hazard_info,
@@ -276,6 +245,21 @@ class World:
             self.net.add_secret(f"s:{s.hex()[:16]}", "bytes", data=s)
             self.net.add_secret(f"M(s):{s.hex()[:16]}", "element",
                                 label=hashed_seq_label(s))
+
+
+def _hierarchy(kind: str, prefix: str, rng, start: int, end: int) -> tuple:
+    """(root, path from leaf to root, leaf key) of a fresh three-level PKI."""
+    root, root_key = pki.create_root(
+        kind, pki.Identity("F", "root@screening"), rng, start, end)
+    inter_key = SigningKey.generate(rng)
+    inter = pki.issue_certificate(
+        root, root_key, pki.Identity(f"{prefix}-intermediate"),
+        inter_key.verify_key, pki.INTERMEDIATE, start, end, rng)
+    leaf_key = SigningKey.generate(rng)
+    leaf = pki.issue_certificate(
+        inter, inter_key, pki.Identity(f"{prefix}-leaf"),
+        leaf_key.verify_key, pki.LEAF, start, end, rng)
+    return root, (leaf, inter, root), leaf_key
 
 
 class _ForcedSigmaRng:
@@ -345,32 +329,33 @@ def secrecy_assertions(world: World, expect_cookie_leak: bool = False) -> list:
     return out
 
 
-def agreement_assertions(world: World) -> list:
-    """Executable agreement check over the session registries.
+_AGREED_PARAMS = ("r_s", "r_w", "omega", "client_token", "server_token")
 
-    Every authenticated honest-server session must be matched by exactly one
-    client session agreeing on (client, server, r_S, r_W, omega) - and on
-    both tokens under SCEP+.
+
+def matching_client_sessions(net: SimNetwork, entry: dict) -> list:
+    """Client sessions agreeing with one server session on every parameter.
+
+    The parameters are (client, server, r_S, r_W, omega) and both tokens;
+    injective agreement wants exactly one such session.
     """
+    sp = entry["session"].params()
+    return [c for c in net.client_sessions
+            if c["server"] == entry["server"]
+            and c["client"] == entry["auth"].client_name
+            and all(c[p] == sp[p] for p in _AGREED_PARAMS)]
+
+
+def agreement_assertions(world: World) -> list:
+    """Executable agreement check over the session registries."""
     net = world.net
     out = []
     for i, entry in enumerate(net.server_sessions):
         if not (entry["honest"] and entry["authenticated"]):
             continue
-        sp = entry["session"].params()
-        auth = entry["auth"]
-        matches = [
-            c for c in net.client_sessions
-            if c["server"] == entry["server"]
-            and c["client"] == auth.client_name
-            and c["r_s"] == sp["r_s"] and c["r_w"] == sp["r_w"]
-            and c["omega"] == sp["omega"]
-            and c["client_token"] == sp["client_token"]
-            and c["server_token"] == sp["server_token"]
-        ]
+        n = len(matching_client_sessions(net, entry))
         out.append(Assertion(
-            f"agreement:{entry['server']}:{i}", len(matches) == 1,
-            f"{len(matches)} honest client sessions share these parameters"))
+            f"agreement:{entry['server']}:{i}", n == 1,
+            f"{n} honest client sessions share these parameters"))
     return out
 
 

@@ -67,10 +67,10 @@ def mutauth_hash(variant: str, label: bytes, r_s: bytes, r_w: bytes,
 
 def encode_hello(r_s: bytes, chain: CertChain, extra: bytes = b"") -> Payload:
     chain_b = chain.encode()
-    data = r_s + wire.pack_fields(chain_b, extra)
-    term = terms.cat(terms.nonce(r_s), terms.blob(chain_b),
-                     terms.blob(extra, "text"))
-    return Payload(data, term)
+    # explicit bytes: r_S goes out without a length prefix
+    return Payload(r_s + wire.pack_fields(chain_b, extra),
+                   terms.cat(terms.nonce(r_s), terms.blob(chain_b),
+                             terms.blob(extra, "text")))
 
 
 def decode_hello(plaintext: bytes) -> tuple[bytes, CertChain, bytes]:
@@ -83,11 +83,8 @@ def decode_hello(plaintext: bytes) -> tuple[bytes, CertChain, bytes]:
 
 def encode_respond(omega: bytes, r_w: bytes, chain: CertChain,
                    sig: bytes) -> Payload:
-    chain_b = chain.encode()
-    data = wire.pack_fields(omega, r_w, chain_b, sig)
-    term = terms.cat(terms.Atom("cookie", omega), terms.nonce(r_w),
-                     terms.blob(chain_b), terms.blob(sig))
-    return Payload(data, term)
+    return Payload.of(terms.cat(terms.Atom("cookie", omega), terms.nonce(r_w),
+                                terms.blob(chain.encode()), terms.blob(sig)))
 
 
 def decode_respond(plaintext: bytes) -> tuple[bytes, bytes, CertChain, bytes]:
@@ -96,9 +93,7 @@ def decode_respond(plaintext: bytes) -> tuple[bytes, bytes, CertChain, bytes]:
 
 
 def encode_finish(omega: bytes, sig: bytes) -> Payload:
-    data = wire.pack_fields(omega, sig)
-    term = terms.cat(terms.Atom("cookie", omega), terms.blob(sig))
-    return Payload(data, term)
+    return Payload.of(terms.cat(terms.Atom("cookie", omega), terms.blob(sig)))
 
 
 def decode_finish(plaintext: bytes) -> tuple[bytes, bytes]:

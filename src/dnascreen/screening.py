@@ -164,19 +164,16 @@ class QueryRequest:
         return cls(cookie, wire.unpack_fields(hashed_b), exemption)
 
 
-def encode_query_payload(req: QueryRequest, elt_terms=None, ex_terms=None
-                         ) -> Payload:
-    elt_terms = elt_terms or [terms.element_atom(e) for e in req.hashed]
+def encode_query_payload(req: QueryRequest) -> Payload:
     parts = [terms.blob(b"hdb-query", "text"), terms.Atom("cookie", req.cookie),
-             terms.cat(*elt_terms)]
-    if req.exemption is not None:
-        ex_terms = ex_terms or [terms.element_atom(e)
-                                for e in req.exemption.hashed_exempt]
-        parts.append(terms.cat(
-            terms.blob(req.exemption.chain_bytes),
-            terms.blob(req.exemption.auth_code.encode(), "text"),
-            terms.cat(*ex_terms)))
-    return Payload(req.encode(), terms.cat(*parts))
+             terms.cat(*map(terms.element_atom, req.hashed))]
+    if req.exemption is None:
+        # explicit bytes: the empty exemption field has no term
+        return Payload(req.encode(), terms.cat(*parts))
+    ex = req.exemption
+    return Payload.of(terms.cat(*parts, terms.cat(
+        terms.blob(ex.chain_bytes), terms.blob(ex.auth_code.encode(), "text"),
+        terms.cat(*map(terms.element_atom, ex.hashed_exempt)))))
 
 
 @dataclass(frozen=True)
@@ -307,19 +304,23 @@ def auth_backend_verify(devices: dict, device_id: str, code: str,
 # --- wire helpers shared by roles -----------------------------------------------------
 
 def error_payload(err: Exception) -> Payload:
-    name = type(err).__name__.encode()
-    detail = str(err).encode()
-    data = wire.pack_fields(b"error", name, detail)
-    return Payload(data, terms.cat(terms.blob(b"error", "text"),
-                                   terms.blob(name, "text"),
-                                   terms.blob(detail, "text")))
+    return Payload.of(terms.cat(terms.blob(b"error", "text"),
+                                terms.blob(type(err).__name__.encode(), "text"),
+                                terms.blob(str(err).encode(), "text")))
+
+
+def _tag_payload(tag: bytes) -> Payload:
+    """A message that is nothing but its tag: resume-ok, auth-reject, ..."""
+    return Payload.of(terms.cat(terms.blob(tag, "text")))
 
 
 def open_reply(channel: ChannelSession, frame: bytes) -> list:
     """Receive a record, raising remotely-reported errors locally."""
     fields_ = wire.unpack_fields(channel_recv(channel, frame))
     if fields_ and fields_[0] == b"error":
-        raise_remote(fields_[1].decode(), fields_[2].decode())
+        if len(fields_) != 3:
+            raise DecodeError("malformed error record")
+        raise_remote(wire.unpack_str(fields_[1]), wire.unpack_str(fields_[2]))
     return fields_
 
 
@@ -356,20 +357,22 @@ class ServerConnection:
         fields_ = wire.unpack_fields(data)
         tag = fields_[0] if fields_ else b""
         if tag == b"resume":
+            if len(fields_) != 2:
+                raise DecodeError("malformed resume")
             cached = self.role.session_cache.get(fields_[1])
             if cached is None or not self.role.resumption_allowed:
-                return Payload(wire.pack_fields(b"resume-reject"),
-                               terms.cat(terms.blob(b"resume-reject", "text")))
+                return _tag_payload(b"resume-reject")
             self.channel = resume_session(cached)
             self.role.on_channel(self)
-            return Payload(wire.pack_fields(b"resume-ok"),
-                           terms.cat(terms.blob(b"resume-ok", "text")))
+            return _tag_payload(b"resume-ok")
         if tag == b"client-hello":
             self.hs = ServerHandshake(
                 self.role.tls_identity, self.role.tls_key, self.role.backend,
                 self.role.rng, resumption_allowed=self.role.resumption_allowed)
             return self.hs.receive_client_hello(data)
         if tag == b"client-kex":
+            if self.hs is None:
+                raise DecodeError("client key exchange before client hello")
             reply = self.hs.receive_client_kex(data)
             self.channel = self.hs.session
             if self.role.resumption_allowed:
@@ -464,16 +467,13 @@ class KeyserverRole(ServerRole):
                                 conn.auth.rate_limit):
             raise RateLimited(
                 f"window budget exceeded for sigma {conn.auth.sigma.hex()}")
-        out_bytes, out_terms = [], []
+        out_terms = []
         in_terms = _element_terms_of(conn.last_request_term, len(element_bytes))
         for b, t in zip(element_bytes, in_terms):
-            elt = self.backend.decode_element(b)
-            res = eval_share(self.share, elt).encode()
-            out_bytes.append(res)
+            res = eval_share(self.share, self.backend.decode_element(b)).encode()
             out_terms.append(_extend_element_term(t, self.share.value, res))
-        data = wire.pack_fields(b"ks-eval-ok", *out_bytes)
-        term = terms.cat(terms.blob(b"ks-eval-ok", "text"), *out_terms)
-        return Payload(data, term)
+        return Payload.of(terms.cat(terms.blob(b"ks-eval-ok", "text"),
+                                    *out_terms))
 
     def long_term_key_atoms(self):
         return super().long_term_key_atoms() + [
@@ -532,15 +532,13 @@ class HashedDbRole(ServerRole):
         session = handshake_client(conn.send, self.auth_backend_name,
                                    self.channel_ca_key, self.backend, self.rng)
         self.net.register_channel(self.name, session)
-        req = wire.pack_fields(b"auth-verify", wire.pack_str(device_id),
-                               wire.pack_str(code), wire.pack_u64(now))
-        term = terms.cat(terms.blob(b"auth-verify", "text"),
-                         terms.blob(device_id.encode(), "text"),
-                         terms.Atom("code", code.encode()),
-                         terms.blob(wire.pack_u64(now), "text"))
+        req = terms.cat(terms.blob(b"auth-verify", "text"),
+                        terms.blob(wire.pack_str(device_id), "text"),
+                        terms.Atom("code", wire.pack_str(code)),
+                        terms.blob(wire.pack_u64(now), "text"))
         reply = open_reply(session, conn.send(
-            channel_send(session, Payload(req, term))))
-        return reply[0] == b"auth-ok"
+            channel_send(session, Payload.of(req))))
+        return reply == [b"auth-ok"]
 
     def _query(self, conn: ServerConnection, fields_) -> Payload:
         request = QueryRequest.decode(conn.last_request_plaintext)
@@ -556,9 +554,7 @@ class HashedDbRole(ServerRole):
         if self.bind_responses:
             sig = self.scep_config.signing_key.sign(wire.digest_fields(
                 b"response-binding", conn.last_request_plaintext, core))
-        data = wire.pack_fields(core, sig)
-        term = terms.cat(terms.blob(core), terms.blob(sig))
-        return Payload(data, term)
+        return Payload.of(terms.cat(terms.blob(core), terms.blob(sig)))
 
     def long_term_key_atoms(self):
         return super().long_term_key_atoms() + [
@@ -578,12 +574,12 @@ class AuthBackendRole(ServerRole):
         self.handlers = {b"auth-verify": self._verify}
 
     def _verify(self, conn: ServerConnection, fields_) -> Payload:
+        if len(fields_) != 4:
+            raise DecodeError("malformed auth-verify")
         _, dev, code, ts = fields_
         ok = auth_backend_verify(self.devices, wire.unpack_str(dev),
                                  wire.unpack_str(code), wire.unpack_u64(ts))
-        tag = b"auth-ok" if ok else b"auth-reject"
-        return Payload(wire.pack_fields(tag),
-                       terms.cat(terms.blob(tag, "text")))
+        return _tag_payload(b"auth-ok" if ok else b"auth-reject")
 
 
 # --- synthesizer ---------------------------------------------------------------------
@@ -641,11 +637,10 @@ class SynthesizerRole:
                 # Recorded and fall back to a full handshake.
                 net.note(f"resumption attempt failed: {type(err).__name__}")
             if resumed is not None:
-                sid = self._hdb_session.session_id()
-                reply = conn.send(Payload(
-                    wire.pack_fields(b"resume", sid),
-                    terms.cat(terms.blob(b"resume", "text"), terms.blob(sid))))
-                if wire.unpack_fields(reply)[0] == b"resume-ok":
+                reply = conn.send(Payload.of(terms.cat(
+                    terms.blob(b"resume", "text"),
+                    terms.blob(self._hdb_session.session_id()))))
+                if wire.unpack_fields(reply) == [b"resume-ok"]:
                     session = resumed
                     net.note(f"resumed channel to {server}")
         if session is None:
@@ -668,20 +663,15 @@ class SynthesizerRole:
         return ServerLink(conn, session, scep_session,
                           scep_session.server_chain.token)
 
-    def _keyserver_round(self, links: list, blinded: list, blinded_terms: list
-                         ) -> list:
+    def _keyserver_round(self, links: list, blinded: list) -> list:
         """One eval round against every linked keyserver; returns keyed hashes."""
         responses_by_ks = []
         for link in links:
-            req = wire.pack_fields(b"ks-eval", link.scep.cookie,
-                                   *[b for b in blinded])
-            term = terms.cat(terms.blob(b"ks-eval", "text"),
-                             terms.Atom("cookie", link.scep.cookie),
-                             *blinded_terms)
-            reply = open_reply(link.channel,
-                               link.conn.send(channel_send(link.channel,
-                                                           Payload(req, term))))
-            if reply[0] != b"ks-eval-ok":
+            req = terms.cat(terms.blob(b"ks-eval", "text"),
+                            terms.Atom("cookie", link.scep.cookie), *blinded)
+            reply = open_reply(link.channel, link.conn.send(
+                channel_send(link.channel, Payload.of(req))))
+            if len(reply) != len(blinded) + 1 or reply[0] != b"ks-eval-ok":
                 raise DecodeError("unexpected keyserver reply")
             index = link.server_token.payload.share_index
             responses_by_ks.append((index, reply[1:]))
@@ -696,19 +686,19 @@ class SynthesizerRole:
                                  beta).encode())
         return keyed
 
-    def _blind_batch(self, sequences: list, beta):
+    def _blind_batch(self, sequences: list, beta) -> list:
+        """Blinded-element terms; each one's bytes are its ``data``."""
         beta_label = terms.atom_label("scalar", beta.encode())
-        blinded, bterms = [], []
+        bterms = []
         for s in sequences:
             h = self.backend.hash_to_group(s)
-            b = blind(h, beta)
-            blinded.append(b.encode())
             # provenance-labelled base atom: the closure judges element
             # secrets by formal identity, not by value collisions in the
             # tiny test group
             base = terms.Atom("element", h.encode(), label=hashed_seq_label(s))
-            bterms.append(terms.ExpTerm(base, ((beta_label, 1),), b.encode()))
-        return blinded, bterms
+            bterms.append(terms.ExpTerm(base, ((beta_label, 1),),
+                                        blind(h, beta).encode()))
+        return bterms
 
     def _check_order(self, order: list):
         for s in order:
@@ -717,16 +707,16 @@ class SynthesizerRole:
                     f"sequence length {len(s)} outside (0, "
                     f"{self.config.max_sequence_len}]")
 
-    def _hdb_round(self, link: ServerLink, request: QueryRequest,
-                   elt_terms, ex_terms) -> QueryResponse:
-        payload = encode_query_payload(request, elt_terms, ex_terms)
-        request_bytes = payload.data
+    def _hdb_round(self, link: ServerLink, request: QueryRequest
+                   ) -> QueryResponse:
+        payload = encode_query_payload(request)
         reply = open_reply(link.channel,
                            link.conn.send(channel_send(link.channel, payload)))
-        # open_reply unpacked (core, sig)
-        core, sig = reply[0], reply[1] if len(reply) > 1 else b""
+        if len(reply) != 2:
+            raise DecodeError("database response is not (core, signature)")
+        core, sig = reply
         if self.config.bind_responses:
-            expected = wire.digest_fields(b"response-binding", request_bytes,
+            expected = wire.digest_fields(b"response-binding", payload.data,
                                           core)
             if not sig or not link.server_token.subject_key.verify(expected,
                                                                    sig):
@@ -738,37 +728,30 @@ class SynthesizerRole:
 
     def basic_query(self, order: list, resume_hdb: bool = False
                     ) -> QueryResponse:
-        self._check_order(order)
-        beta = random_blinding(self.backend, self.rng)
-        blinded, bterms = self._blind_batch(order, beta)
-        links = [self._connect(n, keyserver_extra=b"keyserver " + n.encode())
-                 for n in self.config.keyservers[: self.config.threshold]]
-        keyed = self._assemble(self._keyserver_round(links, blinded, bterms),
-                               len(order), beta)
-        hdb = self._connect(self.config.hdb, try_resume=resume_hdb)
-        request = QueryRequest(hdb.scep.cookie, keyed)
-        return self._hdb_round(hdb, request,
-                               [terms.element_atom(e) for e in keyed], None)
+        return self._query(order, None, "", resume_hdb)
 
     def exemption_query(self, order: list, elt_chain: CertChain,
                         auth_code: str, resume_hdb: bool = False
                         ) -> QueryResponse:
+        return self._query(order, elt_chain, auth_code, resume_hdb)
+
+    def _query(self, order: list, elt_chain: CertChain | None,
+               auth_code: str, resume_hdb: bool) -> QueryResponse:
+        """Screen an order; an ELT chain adds the exemption-list batch."""
         self._check_order(order)
-        exempt_seqs = list(elt_chain.token.payload.sequences)
+        batches = [order]
+        if elt_chain is not None:
+            batches.append(list(elt_chain.token.payload.sequences))
         beta = random_blinding(self.backend, self.rng)
-        blinded, bterms = self._blind_batch(order, beta)
-        ex_blinded, ex_bterms = self._blind_batch(exempt_seqs, beta)
+        blinded = [self._blind_batch(batch, beta) for batch in batches]
         links = [self._connect(n, keyserver_extra=b"keyserver " + n.encode())
                  for n in self.config.keyservers[: self.config.threshold]]
-        keyed = self._assemble(self._keyserver_round(links, blinded, bterms),
-                               len(order), beta)
-        ex_keyed = self._assemble(
-            self._keyserver_round(links, ex_blinded, ex_bterms),
-            len(exempt_seqs), beta)
+        keyed = [self._assemble(self._keyserver_round(links, bterms),
+                                len(bterms), beta)
+                 for bterms in blinded]
         hdb = self._connect(self.config.hdb, try_resume=resume_hdb)
-        request = QueryRequest(
-            hdb.scep.cookie, keyed,
-            ExemptionPart(elt_chain.encode(), auth_code, ex_keyed))
-        return self._hdb_round(hdb, request,
-                               [terms.element_atom(e) for e in keyed],
-                               [terms.element_atom(e) for e in ex_keyed])
+        exemption = None
+        if elt_chain is not None:
+            exemption = ExemptionPart(elt_chain.encode(), auth_code, keyed[1])
+        return self._hdb_round(hdb, QueryRequest(hdb.scep.cookie, keyed[0],
+                                                 exemption))

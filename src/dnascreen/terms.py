@@ -1,14 +1,19 @@
-"""Structural view of wire payloads for the adversary-knowledge closure.
+"""Formal terms of wire messages for the adversary-knowledge closure.
 
-Every message the simulator carries is a pair (bytes, term): the bytes are
-ground truth for transcripts and byte-level tampering, the term mirrors the
-message structure so the closure engine can split, decrypt, and exponentiate
-exactly where a Dolev-Yao adversary could. Atom labels are derived from
+A message is built once, as a term; ``encode`` derives its wire bytes by
+packing each ``Cat``'s parts as length-prefixed fields, so the structure the
+closure engine splits, decrypts, and exponentiates is exactly the structure
+on the wire. The bytes stay ground truth for transcripts and byte-level
+tampering. Record frames, adversary relays, and the two messages whose bytes
+are not their term's encoding (the SCEP hello, the basic hdb-query) pair
+bytes and term explicitly in a ``Payload``. Atom labels are derived from
 content hashes, so equal values get equal labels with no plumbing.
 """
 
 import hashlib
 from dataclasses import dataclass, field
+
+from . import wire
 
 
 def atom_label(kind: str, data: bytes) -> str:
@@ -82,12 +87,25 @@ def cat(*parts) -> Cat:
     return Cat(tuple(parts))
 
 
+def encode(term) -> bytes:
+    """The wire bytes of a term: a Cat packs its parts' encodings as fields."""
+    if isinstance(term, Cat):
+        return wire.pack_fields(*map(encode, term.parts))
+    if isinstance(term, Sealed):
+        return term.ct
+    return term.data  # Atom, ExpTerm
+
+
 @dataclass(frozen=True)
 class Payload:
     """Wire bytes plus their structural term."""
 
     data: bytes
     term: object
+
+    @classmethod
+    def of(cls, term) -> "Payload":
+        return cls(encode(term), term)
 
     @classmethod
     def opaque(cls, data: bytes) -> "Payload":

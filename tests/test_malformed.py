@@ -1,0 +1,77 @@
+"""Malformed input ends in a typed DecodeError, never a raw Python exception."""
+
+import pytest
+
+from dnascreen import terms, wire
+from dnascreen.channel import channel_send, handshake_client
+from dnascreen.errors import DecodeError
+from dnascreen.scenarios import CLEAN_SEQUENCES, ScenarioConfig, build_world
+from dnascreen.screening import open_reply
+from dnascreen.terms import Payload
+
+ORDER = [CLEAN_SEQUENCES[0], CLEAN_SEQUENCES[1]]
+
+
+@pytest.fixture
+def world():
+    return build_world(ScenarioConfig(), seed=31)
+
+
+@pytest.mark.parametrize("server", ["K1", "H", "A"])
+def test_client_kex_before_client_hello(world, server):
+    conn = world.net.dial("S", server)
+    with pytest.raises(DecodeError):
+        conn.send(wire.pack_fields(b"client-kex", b"\x00" * 4, b"fin"))
+
+
+@pytest.mark.parametrize("server", ["K1", "H", "A"])
+def test_bare_resume(world, server):
+    conn = world.net.dial("S", server)
+    with pytest.raises(DecodeError):
+        conn.send(wire.pack_fields(b"resume"))
+
+
+@pytest.mark.parametrize("fields_", [
+    [b"auth-verify", b"authdev-C1", b"123456"],
+    [b"auth-verify", b"authdev-C1", b"123456", b"\x00" * 8, b"extra"],
+])
+def test_auth_verify_with_wrong_field_count(world, fields_):
+    conn = world.net.dial("H", "A")
+    session = handshake_client(conn.send, "A", world.channel_ca.verify_key,
+                               world.backend, world.net.rng)
+    reply = conn.send(channel_send(session, wire.pack_fields(*fields_)))
+    with pytest.raises(DecodeError):
+        open_reply(session, reply)
+
+
+def _stub(role, tag: bytes, payload: Payload):
+    role.handlers[tag] = lambda conn, fields_: payload
+
+
+@pytest.mark.parametrize("payload", [
+    Payload.of(terms.cat(terms.blob(b"ks-eval-ok", "text"),
+                         terms.element_atom(b"\x00\x00\x00\x02"))),
+    Payload.opaque(b""),
+], ids=["fewer-elements", "empty-record"])
+def test_short_keyserver_reply(world, payload):
+    _stub(world.keyservers["K1"], b"ks-eval", payload)
+    with pytest.raises(DecodeError):
+        world.synth.basic_query(ORDER)
+
+
+def test_empty_database_reply(world):
+    _stub(world.hdb, b"hdb-query", Payload.opaque(b""))
+    with pytest.raises(DecodeError):
+        world.synth.basic_query(ORDER)
+
+
+@pytest.mark.parametrize("fields_", [
+    [b"error"],
+    [b"error", b"RateLimited"],
+    [b"error", b"\xff", b"not utf-8"],
+])
+def test_malformed_error_record(world, fields_):
+    _stub(world.keyservers["K1"], b"ks-eval",
+          Payload.opaque(wire.pack_fields(*fields_)))
+    with pytest.raises(DecodeError):
+        world.synth.basic_query(ORDER)
