@@ -167,7 +167,6 @@ class _MitmConnection(ServerConnection):
         token = self._client_chain.token
         self.auth = Authenticated(sigma=token.sigma,
                                   rate_limit=token.payload.rate_limit,
-                                  client_token_bytes=token.encode(),
                                   client_name=token.subject_id.name)
         return None
 

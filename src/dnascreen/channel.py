@@ -79,13 +79,10 @@ def _key_label(key: bytes) -> str:
 class ChannelSession:
     """Established channel endpoint: write keys plus per-direction counters."""
 
-    def __init__(self, role: str, client_random: bytes, server_random: bytes,
-                 client_write: bytes, server_write: bytes,
+    def __init__(self, role: str, client_write: bytes, server_write: bytes,
                  peer_server_identity: str | None,
                  resumption_allowed: bool):
         self.role = role  # "client" | "server"
-        self.client_random = client_random
-        self.server_random = server_random
         self.client_write = client_write
         self.server_write = server_write
         self.peer_server_identity = peer_server_identity
@@ -122,8 +119,7 @@ def resume_session(old: ChannelSession) -> ChannelSession:
     if not old.resumption_allowed:
         raise ResumptionDisabled("session resumption is disabled")
     return ChannelSession(
-        role=old.role, client_random=old.client_random,
-        server_random=old.server_random, client_write=old.client_write,
+        role=old.role, client_write=old.client_write,
         server_write=old.server_write,
         peer_server_identity=old.peer_server_identity,
         resumption_allowed=old.resumption_allowed,
@@ -215,8 +211,7 @@ class ClientHandshake:
         c_write = _derive_write_key(pms, self.r_c, r_s, b"client-write")
         s_write = _derive_write_key(pms, self.r_c, r_s, b"server-write")
         self._session = ChannelSession(
-            role="client", client_random=self.r_c, server_random=r_s,
-            client_write=c_write, server_write=s_write,
+            role="client", client_write=c_write, server_write=s_write,
             peer_server_identity=ident.name,
             resumption_allowed=self.resumption_allowed,
         )
@@ -293,8 +288,7 @@ class ServerHandshake:
         if got != expected:
             raise FinishedMismatch("client finished covers a different transcript")
         self._session = ChannelSession(
-            role="server", client_random=self._r_c, server_random=self.r_s,
-            client_write=c_write, server_write=s_write,
+            role="server", client_write=c_write, server_write=s_write,
             peer_server_identity=None,
             resumption_allowed=self.resumption_allowed,
         )

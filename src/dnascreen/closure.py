@@ -110,10 +110,8 @@ class Knowledge:
     # -- probing --
 
     def holds_atom_label(self, label: str) -> tuple | None:
-        for k, known in self.items.items():
-            if isinstance(known.term, Atom) and known.term.label == label:
-                return k
-        return None
+        k = ("a", label)  # the term_key of every atom with this label
+        return k if k in self.items else None
 
     def holds_bytes(self, data: bytes) -> tuple | None:
         for k, known in self.items.items():

@@ -77,14 +77,6 @@ class GroupBackend:
             raise DecodeError("bad element width")
         return self.element(int.from_bytes(b, "big"))
 
-    def decode_scalar(self, b: bytes) -> "Scalar":
-        if len(b) != self.scalar_size:
-            raise DecodeError("bad scalar width")
-        v = int.from_bytes(b, "big")
-        if v >= self.q:
-            raise DecodeError("scalar out of range")
-        return Scalar(self, v)
-
     def hash_to_group(self, msg: bytes) -> "GroupElement":
         return hash_to_group(msg, self)
 

@@ -24,16 +24,6 @@ class KeyShare:
     index: int
     value: Scalar
 
-    def encode(self) -> bytes:
-        from . import wire
-        return wire.pack_fields(wire.pack_u32(self.index), self.value.encode())
-
-    @classmethod
-    def decode(cls, b: bytes, backend: GroupBackend) -> "KeyShare":
-        from . import wire
-        idx, val = wire.expect_fields(b, 2)
-        return cls(wire.unpack_u32(idx), backend.decode_scalar(val))
-
 
 def shares_from_coeffs(coeffs: list[Scalar], n: int) -> list[KeyShare]:
     """Evaluate the sharing polynomial at 1..n. coeffs[0] is the secret."""

@@ -63,7 +63,7 @@ class Identity:
 
     def __post_init__(self):
         if not self.name:
-            raise ValueError("identity name must be nonempty")
+            raise DecodeError("identity name must be nonempty")
 
     def encode(self) -> bytes:
         return wire.pack_fields(wire.pack_str(self.name), wire.pack_str(self.email))
@@ -82,9 +82,9 @@ class CertDescription:
 
     def __post_init__(self):
         if self.cert_type not in CERT_TYPES:
-            raise ValueError(f"unknown cert type {self.cert_type!r}")
+            raise DecodeError(f"unknown cert type {self.cert_type!r}")
         if self.level not in LEVELS:
-            raise ValueError(f"unknown level {self.level!r}")
+            raise DecodeError(f"unknown level {self.level!r}")
 
     def encode(self) -> bytes:
         return wire.pack_fields(
@@ -369,13 +369,16 @@ def _make_cert(subject_id, subject_key, issuer_id, issuer_key, desc,
                valid_start, valid_end, signing_key, rng) -> Certificate:
     if valid_start >= valid_end:
         raise ValueError("validity start must precede end")
-    unsigned = Certificate(
+    return _signed(Certificate(
         subject_id=subject_id, desc=desc, sigma=rng.randbytes(SIGMA_SIZE),
         subject_key=subject_key, issuer_id=issuer_id, issuer_key=issuer_key,
         valid_start=valid_start, valid_end=valid_end, signature=b"",
-    )
-    sig = signing_key.sign(unsigned.signed_portion())
-    return replace(unsigned, signature=sig)
+    ), signing_key)
+
+
+def _signed(unsigned, key: SigningKey):
+    """A certificate or token with its signed portion signed by ``key``."""
+    return replace(unsigned, signature=key.sign(unsigned.signed_portion()))
 
 
 def issue_token(issuing_leaf: Certificate, leaf_key: SigningKey,
@@ -389,15 +392,13 @@ def issue_token(issuing_leaf: Certificate, leaf_key: SigningKey,
             f"{issuing_leaf.desc.cert_type} leaf cannot issue {token_type} token")
     if not isinstance(payload, _PAYLOAD_TYPES[token_type]):
         raise TypeMismatch(f"payload shape does not match {token_type}")
-    unsigned = Token(
+    return _signed(Token(
         token_type=token_type, payload=payload,
         sigma=rng.randbytes(SIGMA_SIZE),
         subject_id=subject, subject_key=subject_key,
         issuer_id=issuing_leaf.subject_id, issuer_key=issuing_leaf.subject_key,
         valid_start=valid_start, valid_end=valid_end, signature=b"",
-    )
-    sig = leaf_key.sign(unsigned.signed_portion())
-    return replace(unsigned, signature=sig)
+    ), leaf_key)
 
 
 def issue_subtoken(parent: Token, parent_subtoken_key: SigningKey,
@@ -411,7 +412,7 @@ def issue_subtoken(parent: Token, parent_subtoken_key: SigningKey,
         raise NoSubtokenKey("signing key does not match the parent sub-token key")
     if not set(subset) <= set(parent.payload.sequences):
         raise NotASubset("sub-token sequences must be a subset of the parent's")
-    unsigned = Token(
+    return _signed(Token(
         token_type=TOKEN_EXEMPTION,
         payload=ExemptionPayload(tuple(subset), parent.payload.device_id,
                                  parent.payload.subtoken_key),
@@ -420,9 +421,7 @@ def issue_subtoken(parent: Token, parent_subtoken_key: SigningKey,
         issuer_id=parent.subject_id, issuer_key=parent.payload.subtoken_key,
         valid_start=parent.valid_start, valid_end=parent.valid_end,
         signature=b"",
-    )
-    sig = parent_subtoken_key.sign(unsigned.signed_portion())
-    return replace(unsigned, signature=sig)
+    ), parent_subtoken_key)
 
 
 # --- validation ----------------------------------------------------------------
@@ -460,12 +459,7 @@ def validate_chain(chain: CertChain, trusted_root: Certificate, now: int,
             if cert.issuer_key != parent.subject_key:
                 raise BadSignature("issuer key mismatch", depth=depth)
             signer = parent.subject_key
-        if not signer.verify(cert.signed_portion(), cert.signature):
-            raise BadSignature("certificate signature invalid", depth=depth)
-        if not cert.valid_start <= now <= cert.valid_end:
-            raise Expired("certificate outside validity window", depth=depth)
-        if revocations.hits(cert.sigma, cert.subject_key):
-            raise Revoked("certificate revoked", depth=depth)
+        _check(cert, signer, "certificate", now, revocations, depth)
         parent = cert
 
     if chain.token is None:
@@ -499,13 +493,19 @@ def validate_chain(chain: CertChain, trusted_root: Certificate, now: int,
             if tok.issuer_key != leaf.subject_key:
                 raise BadSignature("token issuer key mismatch", depth=depth)
             verifier = signer_key
-        if not verifier.verify(tok.signed_portion(), tok.signature):
-            raise BadSignature("token signature invalid", depth=depth)
-        if not tok.valid_start <= now <= tok.valid_end:
-            raise Expired("token outside validity window", depth=depth)
-        if revocations.hits(tok.sigma, tok.subject_key):
-            raise Revoked("token revoked", depth=depth)
+        _check(tok, verifier, "token", now, revocations, depth)
         parent_token = tok
+
+
+def _check(obj, verifier: VerifyKey, what: str, now: int,
+           revocations: RevocationList, depth: int) -> None:
+    """Signature, validity window and revocation of one certificate or token."""
+    if not verifier.verify(obj.signed_portion(), obj.signature):
+        raise BadSignature(f"{what} signature invalid", depth=depth)
+    if not obj.valid_start <= now <= obj.valid_end:
+        raise Expired(f"{what} outside validity window", depth=depth)
+    if revocations.hits(obj.sigma, obj.subject_key):
+        raise Revoked(f"{what} revoked", depth=depth)
 
 
 def chain_is_valid(chain: CertChain, trusted_root: Certificate, now: int,

@@ -60,8 +60,6 @@ class ScenarioConfig:
     hazards: list = field(default_factory=lambda: list(DEFAULT_HAZARDS))
     elt_sequences: tuple = ()
     corrupt: dict = field(default_factory=dict)  # role name -> strategy name
-    include_hazard_info: bool = True
-    max_sequence_len: int = 30
 
     def validate(self):
         if self.scep_variant not in VARIANTS:
@@ -188,7 +186,6 @@ class World:
             self.db, rng, exemption_root=self.e_root,
             auth_backend_name="A", channel_ca_key=ca_pub,
             bind_responses=config.bind_responses,
-            include_hazard_info=config.include_hazard_info,
             resumption_allowed=config.resumption)
 
         # Authentication backend.
@@ -219,8 +216,7 @@ class World:
             keyservers=list(self.keyserver_names), hdb="H",
             threshold=self.config.threshold,
             bind_responses=self.config.bind_responses,
-            resumption=self.config.resumption,
-            max_sequence_len=self.config.max_sequence_len)
+            resumption=self.config.resumption)
         role = SynthesizerRole(name, self.backend,
                                pki.CertChain(path=self.m_path, token=token),
                                key, self.i_root, self.channel_ca.verify_key,
@@ -242,8 +238,8 @@ class World:
 
     def register_order_secrets(self, order: list):
         for s in order:
-            self.net.add_secret(f"s:{s.hex()[:16]}", "bytes", data=s)
-            self.net.add_secret(f"M(s):{s.hex()[:16]}", "element",
+            self.net.add_secret(f"s:{s.hex()[:16]}", data=s)
+            self.net.add_secret(f"M(s):{s.hex()[:16]}",
                                 label=hashed_seq_label(s))
 
 
@@ -310,8 +306,8 @@ def secrecy_assertions(world: World, expect_cookie_leak: bool = False) -> list:
         if entry["honest"] and entry["authenticated"]:
             omega = entry["session"].omega
             cookie_secrets.append({
-                "name": f"omega:{entry['server']}:{i}", "kind": "bytes",
-                "data": omega, "label": "",
+                "name": f"omega:{entry['server']}:{i}", "data": omega,
+                "label": "",
             })
     if cookie_secrets:
         results = secrecy_probe(net, world.backend, cookie_secrets)

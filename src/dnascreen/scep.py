@@ -107,7 +107,6 @@ class Authenticated:
 
     sigma: bytes
     rate_limit: int
-    client_token_bytes: bytes
     client_name: str
 
 
@@ -202,12 +201,11 @@ class ScepServerSession:
         self.r_w = None
         self.omega = None
         self.client_chain = None
-        self.extra = b""
         self.state = STATE_INIT
 
     def respond(self, hello_plain: bytes, channel: ChannelSession, rng,
                 now: int) -> Payload:
-        r_s, client_chain, extra = decode_hello(hello_plain)
+        r_s, client_chain, _extra = decode_hello(hello_plain)
         try:
             validate_chain(client_chain, self.config.trusted_manufacturer_root,
                            now, self.config.revocations)
@@ -222,7 +220,6 @@ class ScepServerSession:
             raise BadClientChain("client chain carries no token")
         self.r_s = r_s
         self.client_chain = client_chain
-        self.extra = extra
         self.r_w = rng.randbytes(NONCE_SIZE)
         # The cookie is issued exactly once per session.
         self.omega = rng.randbytes(COOKIE_SIZE)
@@ -253,7 +250,6 @@ class ScepServerSession:
         mu = (token.payload.rate_limit
               if token.token_type == TOKEN_SYNTHESIZER else 0)
         return Authenticated(sigma=token.sigma, rate_limit=mu,
-                             client_token_bytes=token.encode(),
                              client_name=token.subject_id.name)
 
     def params(self) -> dict:

@@ -142,15 +142,6 @@ class QueryRequest:
     hashed: list  # element encodings, in order-sequence order
     exemption: ExemptionPart | None = None
 
-    def encode(self) -> bytes:
-        ex = b""
-        if self.exemption is not None:
-            ex = wire.pack_fields(self.exemption.chain_bytes,
-                                  wire.pack_str(self.exemption.auth_code),
-                                  wire.pack_fields(*self.exemption.hashed_exempt))
-        return wire.pack_fields(b"hdb-query", self.cookie,
-                                wire.pack_fields(*self.hashed), ex)
-
     @classmethod
     def decode(cls, plaintext: bytes) -> "QueryRequest":
         tag, cookie, hashed_b, ex_b = wire.expect_fields(plaintext, 4)
@@ -165,15 +156,14 @@ class QueryRequest:
 
 
 def encode_query_payload(req: QueryRequest) -> Payload:
-    parts = [terms.blob(b"hdb-query", "text"), terms.Atom("cookie", req.cookie),
-             terms.cat(*map(terms.element_atom, req.hashed))]
-    if req.exemption is None:
-        # explicit bytes: the empty exemption field has no term
-        return Payload(req.encode(), terms.cat(*parts))
+    """A basic query's exemption field is ``terms.cat()``: an empty field."""
     ex = req.exemption
-    return Payload.of(terms.cat(*parts, terms.cat(
+    ex_term = terms.cat() if ex is None else terms.cat(
         terms.blob(ex.chain_bytes), terms.blob(ex.auth_code.encode(), "text"),
-        terms.cat(*map(terms.element_atom, ex.hashed_exempt)))))
+        terms.cat(*map(terms.element_atom, ex.hashed_exempt)))
+    return Payload.of(terms.cat(
+        terms.blob(b"hdb-query", "text"), terms.Atom("cookie", req.cookie),
+        terms.cat(*map(terms.element_atom, req.hashed)), ex_term))
 
 
 @dataclass(frozen=True)
@@ -218,8 +208,7 @@ def hdb_lookup(db: HazardDb, request: QueryRequest, ledger: RateLimitLedger,
                now: int, *, expected_cookie: bytes, sigma: bytes, mu: int,
                exemption_root: Certificate | None = None,
                revocations: RevocationList | None = None,
-               auth_check=None, include_hazard_info: bool = True
-               ) -> QueryResponse:
+               auth_check=None) -> QueryResponse:
     """Membership plus exemption flags for one authenticated request.
 
     ``auth_check(device_id, code, now) -> bool`` consults the authentication
@@ -259,10 +248,8 @@ def hdb_lookup(db: HazardDb, request: QueryRequest, ledger: RateLimitLedger,
             verdicts.append(Verdict(CLEAR))
         elif elt in exempt_set:
             verdicts.append(Verdict(HIT_EXEMPT))
-        elif include_hazard_info:
-            verdicts.append(Verdict(HIT, meta[0], meta[1]))
         else:
-            verdicts.append(Verdict(HIT))
+            verdicts.append(Verdict(HIT, meta[0], meta[1]))
     return QueryResponse(verdicts, overall_of(verdicts))
 
 
@@ -506,13 +493,10 @@ class HashedDbRole(ServerRole):
 
     def __init__(self, name, backend, tls_identity, tls_key,
                  scep_config: ScepServerConfig, db: HazardDb, rng, *,
-                 exemption_root: Certificate | None = None,
-                 elt_revocations: RevocationList | None = None,
-                 auth_backend_name: str | None = None,
-                 channel_ca_key: VerifyKey | None = None,
-                 bind_responses: bool = False,
-                 include_hazard_info: bool = True,
-                 resumption_allowed: bool = False):
+                 exemption_root: Certificate, auth_backend_name: str,
+                 channel_ca_key: VerifyKey, bind_responses: bool,
+                 resumption_allowed: bool,
+                 elt_revocations: RevocationList | None = None):
         super().__init__(name, backend, tls_identity, tls_key, rng,
                          resumption_allowed)
         self.scep_config = scep_config
@@ -522,7 +506,6 @@ class HashedDbRole(ServerRole):
         self.auth_backend_name = auth_backend_name
         self.channel_ca_key = channel_ca_key
         self.bind_responses = bind_responses
-        self.include_hazard_info = include_hazard_info
         self.ledger = RateLimitLedger()
         self.handlers = {b"hdb-query": self._query}
 
@@ -546,9 +529,7 @@ class HashedDbRole(ServerRole):
             self.db, request, self.ledger, self.net.now(),
             expected_cookie=conn.scep.omega, sigma=conn.auth.sigma,
             mu=conn.auth.rate_limit, exemption_root=self.exemption_root,
-            revocations=self.elt_revocations,
-            auth_check=self._auth_check if self.auth_backend_name else None,
-            include_hazard_info=self.include_hazard_info)
+            revocations=self.elt_revocations, auth_check=self._auth_check)
         core = response.encode_core()
         sig = b""
         if self.bind_responses:
@@ -592,7 +573,6 @@ class SynthesizerConfig:
     threshold: int
     bind_responses: bool = False
     resumption: bool = False
-    max_sequence_len: int = DEFAULT_MAX_SEQUENCE_LEN
 
 
 @dataclass
@@ -602,7 +582,6 @@ class ServerLink:
     conn: object
     channel: ChannelSession
     scep: ScepClientSession
-    server_token: object
 
 
 class SynthesizerRole:
@@ -660,8 +639,7 @@ class SynthesizerRole:
         net.record_client_session(self.name, server, scep_session)
         if server == self.config.hdb:
             self._hdb_session = session
-        return ServerLink(conn, session, scep_session,
-                          scep_session.server_chain.token)
+        return ServerLink(conn, session, scep_session)
 
     def _keyserver_round(self, links: list, blinded: list) -> list:
         """One eval round against every linked keyserver; returns keyed hashes."""
@@ -673,7 +651,7 @@ class SynthesizerRole:
                 channel_send(link.channel, Payload.of(req))))
             if len(reply) != len(blinded) + 1 or reply[0] != b"ks-eval-ok":
                 raise DecodeError("unexpected keyserver reply")
-            index = link.server_token.payload.share_index
+            index = link.scep.server_chain.token.payload.share_index
             responses_by_ks.append((index, reply[1:]))
         return responses_by_ks
 
@@ -702,10 +680,10 @@ class SynthesizerRole:
 
     def _check_order(self, order: list):
         for s in order:
-            if not s or len(s) > self.config.max_sequence_len:
+            if not s or len(s) > DEFAULT_MAX_SEQUENCE_LEN:
                 raise InvalidSequence(
                     f"sequence length {len(s)} outside (0, "
-                    f"{self.config.max_sequence_len}]")
+                    f"{DEFAULT_MAX_SEQUENCE_LEN}]")
 
     def _hdb_round(self, link: ServerLink, request: QueryRequest
                    ) -> QueryResponse:
@@ -718,8 +696,8 @@ class SynthesizerRole:
         if self.config.bind_responses:
             expected = wire.digest_fields(b"response-binding", payload.data,
                                           core)
-            if not sig or not link.server_token.subject_key.verify(expected,
-                                                                   sig):
+            server_key = link.scep.server_chain.token.subject_key
+            if not sig or not server_key.verify(expected, sig):
                 raise ResponseBindingMismatch(
                     "response is not bound to this query")
         return QueryResponse.decode_core(core)

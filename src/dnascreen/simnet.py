@@ -318,10 +318,8 @@ class SimNetwork:
              "honest": server not in self.corrupt,
              "authenticated": True, "auth": auth})
 
-    def add_secret(self, name: str, kind: str, *, data: bytes = b"",
-                   label: str = ""):
-        self.secrets.append({"name": name, "kind": kind, "data": data,
-                             "label": label})
+    def add_secret(self, name: str, *, data: bytes = b"", label: str = ""):
+        self.secrets.append({"name": name, "data": data, "label": label})
 
     def note(self, msg: str):
         self.notes.append(msg)

@@ -4,9 +4,9 @@ A message is built once, as a term; ``encode`` derives its wire bytes by
 packing each ``Cat``'s parts as length-prefixed fields, so the structure the
 closure engine splits, decrypts, and exponentiates is exactly the structure
 on the wire. The bytes stay ground truth for transcripts and byte-level
-tampering. Record frames, adversary relays, and the two messages whose bytes
-are not their term's encoding (the SCEP hello, the basic hdb-query) pair
-bytes and term explicitly in a ``Payload``. Atom labels are derived from
+tampering. Record frames, adversary relays, and the one message whose bytes
+are not its term's encoding (the SCEP hello, whose r_S has no length prefix)
+pair bytes and term explicitly in a ``Payload``. Atom labels are derived from
 content hashes, so equal values get equal labels with no plumbing.
 """
 

@@ -174,9 +174,3 @@ def test_oracle_equivalence_all_subsets():
                              for sh in subset]
                 assert unblind(combine(responses, t), beta) == expected
 
-
-def test_key_share_canonical_roundtrip():
-    from dnascreen.doprf import KeyShare
-    share = KeyShare(3, s(9))
-    again = KeyShare.decode(share.encode(), B)
-    assert again == share

@@ -1,8 +1,10 @@
 """Malformed input ends in a typed DecodeError, never a raw Python exception."""
 
+from dataclasses import dataclass, replace
+
 import pytest
 
-from dnascreen import terms, wire
+from dnascreen import scep, terms, wire
 from dnascreen.channel import channel_send, handshake_client
 from dnascreen.errors import DecodeError
 from dnascreen.scenarios import CLEAN_SEQUENCES, ScenarioConfig, build_world
@@ -73,5 +75,59 @@ def test_empty_database_reply(world):
 def test_malformed_error_record(world, fields_):
     _stub(world.keyservers["K1"], b"ks-eval",
           Payload.opaque(wire.pack_fields(*fields_)))
+    with pytest.raises(DecodeError):
+        world.synth.basic_query(ORDER)
+
+
+@dataclass(frozen=True)
+class _Raw:
+    """Stands in for a certificate field, shipping bytes it would refuse."""
+
+    data: bytes
+
+    def encode(self) -> bytes:
+        return self.data
+
+
+DOCTORED_LEAVES = {
+    "level-lean": {"level": "lean"},
+    "type-manufactured": {"cert_type": "manufactured"},
+    "empty-name": {"name": ""},
+}
+
+
+def _doctored(chain, cert_type=None, level=None, name=None):
+    """The chain with its leaf's type, level or subject name replaced."""
+    leaf = chain.leaf
+    desc = wire.pack_fields(wire.pack_u32(leaf.desc.version),
+                            wire.pack_str(cert_type or leaf.desc.cert_type),
+                            wire.pack_str(level or leaf.desc.level))
+    subject = (leaf.subject_id.encode() if name is None
+               else wire.pack_fields(wire.pack_str(name), b""))
+    leaf = replace(leaf, desc=_Raw(desc), subject_id=_Raw(subject))
+    return replace(chain, path=(leaf, *chain.path[1:]))
+
+
+@pytest.mark.parametrize("doctor", DOCTORED_LEAVES.values(),
+                         ids=DOCTORED_LEAVES.keys())
+@pytest.mark.parametrize("server", ["K1", "H"])
+def test_hello_with_doctored_certificate(world, server, doctor):
+    conn = world.net.dial("S", server)
+    session = handshake_client(conn.send, server, world.channel_ca.verify_key,
+                               world.backend, world.net.rng)
+    hello = scep.encode_hello(b"\x00" * scep.NONCE_SIZE,
+                              _doctored(world.synth.chain, **doctor))
+    reply = conn.send(channel_send(session, hello))
+    with pytest.raises(DecodeError):
+        open_reply(session, reply)
+
+
+@pytest.mark.parametrize("doctor", DOCTORED_LEAVES.values(),
+                         ids=DOCTORED_LEAVES.keys())
+def test_respond_with_doctored_certificate(world, monkeypatch, doctor):
+    original = scep.encode_respond
+    monkeypatch.setattr(
+        scep, "encode_respond", lambda omega, r_w, chain, sig: original(
+            omega, r_w, _doctored(chain, **doctor), sig))
     with pytest.raises(DecodeError):
         world.synth.basic_query(ORDER)

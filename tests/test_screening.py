@@ -35,6 +35,7 @@ from dnascreen.screening import (
     Verdict,
     auth_backend_verify,
     build_hdb,
+    encode_query_payload,
     hdb_lookup,
     oracle_query,
     totp_code,
@@ -90,16 +91,6 @@ def test_hdb_lookup_hit_clear():
     assert [v.flag for v in resp.verdicts] == [HIT, CLEAR]
     assert resp.verdicts[0].hazard_name == "toxin-alpha"
     assert resp.overall == DENY
-
-
-def test_hdb_lookup_suppressed_hazard_info():
-    k = B.scalar(5)
-    db = build_hdb(list(DEFAULT_HAZARDS), k)
-    req = _request(k, [DEFAULT_HAZARDS[0][0]])
-    resp = hdb_lookup(db, req, RateLimitLedger(), NOW,
-                      expected_cookie=b"\x11" * 32, sigma=b"s" * 16, mu=100,
-                      include_hazard_info=False)
-    assert resp.verdicts[0] == Verdict(HIT, "", "")
 
 
 def test_hdb_lookup_bad_cookie_and_rate_limit():
@@ -219,7 +210,7 @@ def test_query_message_roundtrips():
     part = ExemptionPart(b"chainbytes", "123456",
                          [doprf_direct(b"x", k).encode()])
     req = _request(k, [b"abc", b"def"], exemption=part)
-    again = QueryRequest.decode(req.encode())
+    again = QueryRequest.decode(encode_query_payload(req).data)
     assert again.hashed == req.hashed
     assert again.exemption.auth_code == "123456"
     resp = QueryResponse([Verdict(HIT, "n", "r"), Verdict(CLEAR)], DENY)

@@ -19,20 +19,14 @@ def test_encode_nested_cat_sealed_and_exp_terms():
     assert Payload.of(term) == Payload(terms.encode(term), term)
 
 
-# The two messages whose bytes are not their term's encoding.
+# The one message whose bytes are not its term's encoding.
 def _scep_hello(payload: Payload) -> bool:
     # r_S goes out without a length prefix
     parts = getattr(payload.term, "parts", ())
     return bool(parts) and getattr(parts[0], "kind", "") == "nonce"
 
 
-def _basic_hdb_query(payload: Payload) -> bool:
-    # the empty exemption field has no term
-    parts = getattr(payload.term, "parts", ())
-    return (len(parts) == 3 and parts[0] == terms.blob(b"hdb-query", "text"))
-
-
-EXCEPTIONS = {"scep-hello": _scep_hello, "basic-hdb-query": _basic_hdb_query}
+EXCEPTIONS = {"scep-hello": _scep_hello}
 
 
 def test_every_shipped_message_is_its_terms_encoding(monkeypatch):

@@ -1,0 +1,90 @@
+"""Fingerprint the observable behaviour of a dnascreen checkout.
+
+Runs every shipped scenario (``attacks.all_scenarios()``) at seeds 1-64,
+plus one mixed ``run_scenario`` script under each resumption x
+response-binding setting, and prints three sha256 digests:
+
+  outcomes     each run's ``outcome.render()`` and ``outcome.token``
+  wire         each transcript with every ``view=`` field removed
+  transcripts  each full transcript
+
+Run it on two checkouts; equal digests show that a refactor kept the
+outcomes, the wire bytes and the formal views of every run:
+
+  python3 tools/fingerprint.py                    # this checkout
+  python3 tools/fingerprint.py --src ../other     # another checkout
+
+It stores no golden values; only the comparison means anything.
+"""
+
+import argparse
+import hashlib
+import re
+import sys
+from pathlib import Path
+
+SEEDS = range(1, 65)
+SCRIPT_SEED = 1
+_VIEW = re.compile(r" view=.*? note=")
+
+
+def mixed_script(hazards: list, clean: list) -> str:
+    """36 lines: basic and exemption queries, resumption, clock steps."""
+    covered = hazards[0][0]
+    lines = []
+    for i in range(9):
+        hazard = hazards[i % len(hazards)][0]
+        seq = clean[i % len(clean)]
+        lines += [
+            f"query S {hazard.hex()},{seq.hex()}",
+            f"advance-clock {30 * (i + 1)}",
+            "resume-next S",
+            f"query-exempt S {covered.hex()},{seq.hex()} code=fresh",
+        ]
+    return "\n".join(lines)
+
+
+def runs(src: Path):
+    """(outcome text, transcript) of every fingerprinted run, in order."""
+    sys.path.insert(0, str(src / "src"))
+    from dnascreen import attacks, scenarios
+
+    for name, run in attacks.all_scenarios().items():
+        for seed in SEEDS:
+            result = run(seed)
+            yield (f"{name}:{seed}\n{result.outcome.render()}\n"
+                   f"token={result.outcome.token}", result.transcript_text)
+    script = mixed_script(scenarios.DEFAULT_HAZARDS,
+                          scenarios.CLEAN_SEQUENCES)
+    for resumption in (False, True):
+        for bind in (False, True):
+            config = scenarios.ScenarioConfig(
+                resumption=resumption, bind_responses=bind,
+                elt_sequences=(scenarios.DEFAULT_HAZARDS[0][0],))
+            result = scenarios.run_scenario(config, script, SCRIPT_SEED)
+            yield (f"script:{resumption}:{bind}\n{result.outcome.render()}\n"
+                   f"token={result.outcome.token}", result.transcript_text)
+
+
+def fingerprint(src: Path) -> dict:
+    digests = {name: hashlib.sha256()
+               for name in ("outcomes", "wire", "transcripts")}
+    for outcome, transcript in runs(src):
+        digests["outcomes"].update(outcome.encode() + b"\0")
+        digests["wire"].update(_VIEW.sub(" note=", transcript).encode() + b"\0")
+        digests["transcripts"].update(transcript.encode() + b"\0")
+    return {name: h.hexdigest() for name, h in digests.items()}
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", type=Path,
+                    default=Path(__file__).resolve().parent.parent,
+                    help="root of the checkout to fingerprint")
+    args = ap.parse_args()
+    for name, digest in fingerprint(args.src.resolve()).items():
+        print(f"{name} {digest}")
+
+
+if __name__ == "__main__":
+    main()
