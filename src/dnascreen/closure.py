@@ -45,6 +45,7 @@ class Knowledge:
     def __init__(self, backend: GroupBackend):
         self.backend = backend
         self.items: dict[tuple, Known] = {}
+        self.by_data: dict[bytes, tuple] = {}  # atom data -> first atom's key
 
     # -- building --
 
@@ -53,6 +54,8 @@ class Knowledge:
         if k in self.items:
             return False
         self.items[k] = Known(term, rule, parents)
+        if isinstance(term, Atom):
+            self.by_data.setdefault(term.data, k)
         return True
 
     def known_keys(self) -> set:
@@ -114,10 +117,7 @@ class Knowledge:
         return k if k in self.items else None
 
     def holds_bytes(self, data: bytes) -> tuple | None:
-        for k, known in self.items.items():
-            if isinstance(known.term, Atom) and known.term.data == data:
-                return k
-        return None
+        return self.by_data.get(data)
 
     def derivation(self, k: tuple, depth: int = 0) -> list:
         known = self.items[k]
@@ -173,10 +173,15 @@ class ProbeResult:
 
 def secrecy_probe(net, backend: GroupBackend,
                   secrets: list | None = None) -> list[ProbeResult]:
+    """Per-secret leak verdicts over a freshly built closure of ``net``."""
+    return probe(build_knowledge(net, backend),
+                 secrets if secrets is not None else net.secrets)
+
+
+def probe(kn: Knowledge, secrets: list) -> list[ProbeResult]:
     """Per-secret leak verdicts with derivation evidence."""
-    kn = build_knowledge(net, backend)
     results = []
-    for secret in (secrets if secrets is not None else net.secrets):
+    for secret in secrets:
         hit = None
         if secret.get("label"):
             hit = kn.holds_atom_label(secret["label"])

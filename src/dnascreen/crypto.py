@@ -11,6 +11,19 @@ All protocol logic above this module is backend-generic: it sees only
 ``GroupElement`` and ``Scalar``. Signatures are Ed25519 over canonical
 encodings, and the record AEAD is ChaCha20-Poly1305 with the 64-bit
 per-direction sequence number baked into the nonce.
+
+Both moduli are safe primes, p = 2q + 1 with q prime, and the constructor
+refuses a p other than 2q + 1. The order-q subgroup is then exactly the
+quadratic residues mod p, so by Euler's criterion v^q = 1 (mod p) holds iff
+the Legendre symbol (v/p) is 1. ``GroupBackend.element`` tests membership
+with that symbol, computed by a binary Jacobi-symbol loop with the cost of a
+gcd, instead of a full 3072-bit power on ``prod``.
+
+Every ``GroupElement`` has an order dividing q, so ``exp`` may raise to
+e - q instead of e. It does so when q - e has at most half the bits of q,
+which turns an exponent such as q - 1 (the Lagrange coefficient -1) into one
+modular inverse. It does not for a random e above q/2: there the inverse
+would buy a power only one bit shorter.
 """
 
 import hashlib
@@ -43,11 +56,33 @@ _RFC3526_3072_P = int(
 )
 
 
+def _legendre(a: int, p: int) -> int:
+    """The Jacobi symbol (a/p) for odd p > 0: the Legendre symbol if p is prime.
+
+    Binary algorithm: strip factors of two (each flips the sign when
+    p = 3, 5 mod 8), then swap by quadratic reciprocity (flipping the sign
+    when both are 3 mod 4) and reduce.
+    """
+    a %= p
+    sign = 1
+    while a:
+        twos = (a & -a).bit_length() - 1
+        a >>= twos
+        if twos & 1 and p & 7 in (3, 5):
+            sign = -sign
+        if a & 3 == 3 and p & 3 == 3:
+            sign = -sign
+        a, p = p % a, a
+    return sign if p == 1 else 0
+
+
 class GroupBackend:
     """A cyclic group of prime order q inside the integers mod p."""
 
     def __init__(self, name: str, p: int, q: int, g: int,
                  element_size: int, scalar_size: int):
+        if p != 2 * q + 1:
+            raise ValueError("p must be the safe prime 2q + 1")
         self.name = name
         self.p = p
         self.q = q
@@ -62,7 +97,7 @@ class GroupBackend:
 
     def element(self, v: int) -> "GroupElement":
         """Wrap v, validating subgroup membership."""
-        if not 1 <= v < self.p or pow(v, self.q, self.p) != 1:
+        if not 1 <= v < self.p or _legendre(v, self.p) != 1:
             raise DecodeError(f"{v} is not in the order-{self.q} subgroup")
         return GroupElement(self, v)
 
@@ -105,7 +140,11 @@ class GroupElement:
         self.value = value
 
     def exp(self, e: "Scalar") -> "GroupElement":
-        return GroupElement(self.backend, pow(self.value, e.value, self.backend.p))
+        b = self.backend
+        k = e.value
+        if (b.q - k).bit_length() <= b.q.bit_length() // 2:
+            k -= b.q  # x^q = 1, and pow takes a short negative power cheaply
+        return GroupElement(b, pow(self.value, k, b.p))
 
     def mul(self, other: "GroupElement") -> "GroupElement":
         return GroupElement(self.backend, (self.value * other.value) % self.backend.p)

@@ -7,10 +7,10 @@ queries and adversary actions; every scenario declares its assertions and
 ships its transcript.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
-from . import pki
-from .closure import secrecy_probe
+from . import closure, pki
 from .crypto import SigningKey, get_backend
 from .channel import issue_tls_identity
 from .doprf import share_key
@@ -293,8 +293,8 @@ def secrecy_assertions(world: World, expect_cookie_leak: bool = False) -> list:
     """
     net = world.net
     out = []
-    order_secrets = list(net.secrets)
-    results = secrecy_probe(net, world.backend, order_secrets)
+    kn = closure.build_knowledge(net, world.backend)
+    results = closure.probe(kn, net.secrets)
     bad = [r for r in results if r.leaked]
     out.append(Assertion(
         "order-secrecy", not bad,
@@ -310,7 +310,7 @@ def secrecy_assertions(world: World, expect_cookie_leak: bool = False) -> list:
                 "label": "",
             })
     if cookie_secrets:
-        results = secrecy_probe(net, world.backend, cookie_secrets)
+        results = closure.probe(kn, cookie_secrets)
         leaked = [r for r in results if r.leaked]
         if expect_cookie_leak:
             out.append(Assertion(
@@ -358,7 +358,7 @@ def agreement_assertions(world: World) -> list:
 def key_slot_uniqueness_assertion(world: World) -> Assertion:
     """With resumption off, no two records share (write key, direction, seq)."""
     slots = world.net.record_key_slots()
-    dupes = {s for s in slots if slots.count(s) > 1}
+    dupes = {s for s, n in Counter(slots).items() if n > 1}
     return Assertion(
         "record-slot-uniqueness", not dupes,
         f"duplicated slots: {sorted(dupes)}" if dupes

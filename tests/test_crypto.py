@@ -6,6 +6,7 @@ import pytest
 
 from dnascreen.crypto import (
     FIN_SEQ,
+    GroupBackend,
     TEST_BACKEND,
     aead_open,
     aead_seal,
@@ -91,11 +92,52 @@ def test_hash_to_group_collision_scan():
 
 
 def test_element_membership_validation():
-    with pytest.raises(DecodeError):
-        B.element(5)  # 5 is not in the order-11 subgroup mod 23
-    with pytest.raises(DecodeError):
-        B.element(0)
-    assert B.element(4).value == 4
+    for v in range(24):
+        if 1 <= v < 23 and pow(v, 11, 23) == 1:
+            assert B.element(v).value == v
+        else:
+            with pytest.raises(DecodeError):
+                B.element(v)
+
+
+def test_prod_membership_agrees_with_eulers_criterion():
+    P = prod_backend()
+    rng = random.Random(12)
+    squares = [pow(rng.randrange(2, P.p - 1), 2, P.p) for _ in range(18)]
+    non_squares = [P.p - v for v in squares]  # -1 is a non-residue mod P.p
+    values = squares + non_squares + [1, 2, P.p - 1, P.g * P.g % P.p]
+    euler = [pow(v, P.q, P.p) == 1 for v in values]
+    assert len(values) == 40 and sum(euler) == len(squares) + 3
+    for v, member in zip(values, euler):
+        if member:
+            assert P.element(v).value == v
+        else:
+            with pytest.raises(DecodeError):
+                P.element(v)
+
+
+def test_prod_decode_rejects_out_of_group_values():
+    P = prod_backend()
+    for v in (P.p - 1, 0, P.p):
+        with pytest.raises(DecodeError):
+            P.decode_element(v.to_bytes(P.element_size, "big"))
+
+
+def test_backend_requires_safe_prime():
+    with pytest.raises(ValueError):
+        GroupBackend("x", p=29, q=11, g=2, element_size=4, scalar_size=4)
+
+
+@pytest.mark.parametrize("name", ["test", "prod"])
+def test_signed_exponent_matches_plain_power(name):
+    G = get_backend(name)
+    rng = random.Random(13)
+    x = hash_to_group(b"signed exponents", G)
+    assert x.exp(G.scalar(G.q - 1)).mul(x).is_identity()
+    low = [G.scalar(rng.randrange(0, G.q // 2 + 1)) for _ in range(3)]
+    high = [G.scalar(rng.randrange(G.q // 2 + 1, G.q)) for _ in range(3)]
+    for s in low + high + [G.scalar(G.q - 2), G.scalar(1), G.scalar(0)]:
+        assert x.exp(s).value == pow(x.value, s.value, G.p)
 
 
 def test_sign_verify_roundtrip_tamper_wrongkey():

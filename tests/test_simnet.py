@@ -204,6 +204,15 @@ def test_channel_confidentiality_closure():
         assert kn.holds_bytes(b"plaintext-%d" % i) is None
 
 
+def test_holds_bytes_returns_first_added_atom():
+    first = terms.Atom("blob", b"same bytes", "first")
+    kn = Knowledge(B)
+    kn.add(first, "tapped")
+    kn.add(terms.Atom("nonce", b"same bytes", "second"), "tapped")
+    assert kn.holds_bytes(b"same bytes") == terms.term_key(first) == ("a", "first")
+    assert kn.holds_bytes(b"other bytes") is None
+
+
 def test_secrecy_probe_over_honest_scenario():
     result = scenario_honest_basic(seed=41)
     probes = secrecy_probe(result.world.net, result.world.backend)
