@@ -68,7 +68,7 @@ class MitmKeyserver(KeyserverRole):
                  target: str = "K2"):
         self.__dict__.update(honest.__dict__)
         self.handlers = {b"ks-eval": self._eval}
-        self.world = world
+        self.channel_ca_key = world.channel_ca.verify_key
         self.target = target
         self.stage_log: list[str] = []
         self.step6_result: str | None = None
@@ -84,7 +84,7 @@ class MitmKeyserver(KeyserverRole):
         net = self.net
         conn = net.dial(self.name, self.target)
         session = handshake_client(conn.send, self.target,
-                                   self.world.channel_ca.verify_key,
+                                   self.channel_ca_key,
                                    self.backend, self.rng)
         net.register_channel(self.name, session)
         # a relay: the client's bytes go out under whatever term they came in
@@ -249,7 +249,7 @@ def attack_mitm_rate_limit(variant: str = SCEP, seed: int = 7,
     try:
         response = world.synth.basic_query(order)
     except ScreeningError as err:
-        query_error = err
+        query_error = err.with_traceback(None)  # its frames hold the world
         world.net.note(f"victim query failed: {type(err).__name__}")
 
     assertions = []
@@ -480,7 +480,7 @@ def attack_token_collision_dos(forced: bool = True, seed: int = 17,
     try:
         second = world.synth.basic_query([CLEAN_SEQUENCES[0]])
     except ScreeningError as err:
-        victim_error = err
+        victim_error = err.with_traceback(None)  # its frames hold the world
 
     both_authenticated = {
         e["auth"].client_name

@@ -12,6 +12,7 @@ connection and direction, 0-based), e.g. ``S->H:s2c:1:r1``.
 """
 
 import random
+import weakref
 from dataclasses import dataclass
 
 from . import terms
@@ -116,7 +117,7 @@ class Conn:
 
     def __init__(self, net: "SimNetwork", src: str, dst: str, handler,
                  index: int):
-        self.net = net
+        self.net = weakref.proxy(net)  # the network keeps its last Conn
         self.src = src
         self.dst = dst
         self.handler = handler
@@ -183,7 +184,7 @@ class SimNetwork:
 
     def register_role(self, role, corrupt: bool = False):
         self.roles[role.name] = role
-        role.net = self
+        role.net = weakref.proxy(self)  # the network keeps its roles
         if corrupt:
             self.corrupt.add(role.name)
             for atom in role.long_term_key_atoms():

@@ -97,6 +97,21 @@ def test_run_exemption_grants(tmp_path, capsys):
     assert out.strip().endswith("OUTCOME: GRANT")
 
 
+@pytest.mark.parametrize("argv,verdict_line,outcome", [
+    (("run", "basic"), f"DENY seq={HAZARD.hex()}", "OUTCOME: DENY"),
+    (("run", "exemption", "--exempt", HAZARD.hex()),
+     f"EXEMPT seq={HAZARD.hex()}", "OUTCOME: GRANT"),
+], ids=["basic", "exemption"])
+def test_run_on_prod_backend(tmp_path, capsys, argv, verdict_line, outcome):
+    order = tmp_path / "order.txt"
+    order.write_text(f"{HAZARD.hex()}\n{CLEAN.hex()}\n")
+    code, out, _ = run_cli(capsys, *argv, "--order", str(order),
+                           "--backend", "prod", "--seed", "6")
+    assert code == 0
+    assert verdict_line in out and f"CLEAR seq={CLEAN.hex()}" in out
+    assert out.strip().endswith(outcome)
+
+
 def test_run_custom_hazard_file(tmp_path, capsys):
     hazards = tmp_path / "hz.txt"
     seq = b"CCCCAAAATTTTGGGG"

@@ -140,6 +140,72 @@ def test_signed_exponent_matches_plain_power(name):
         assert x.exp(s).value == pow(x.value, s.value, G.p)
 
 
+def test_prod_exp_matches_plain_power_on_both_routes():
+    P = prod_backend()
+    rng = random.Random(14)
+    short = P.short_exp_bits
+    # seeded (base, long exponent) pairs, which run on OpenSSL
+    for _ in range(4):
+        x = hash_to_group(rng.randbytes(16), P)
+        s = P.random_scalar(rng)
+        assert x.exp(s).value == pow(x.value, s.value, P.p)
+    # short exponents on either side of the pow/OpenSSL split
+    x = hash_to_group(b"short and long", P)
+    for k in (0, 1, 2, 2 ** short - 1, 2 ** short, 2 ** (short + 8) + 1):
+        assert x.exp(P.scalar(k)).value == pow(x.value, k, P.p)
+    # q - m on either side of the signed/OpenSSL split: x^(q-m) * x^m = 1
+    for m in (1, 2, 2 ** short - 1, 2 ** short, 2 ** (short + 8) + 1):
+        y = x.exp(P.scalar(P.q - m))
+        assert y.value * pow(x.value, m, P.p) % P.p == 1
+
+
+def _spy_openssl(monkeypatch) -> list:
+    calls = []
+    real = GroupBackend._openssl_pow
+
+    def spy(backend, x, k):
+        calls.append(k)
+        return real(backend, x, k)
+
+    monkeypatch.setattr(GroupBackend, "_openssl_pow", spy)
+    return calls
+
+
+def test_exp_routes_only_long_prod_exponents_to_openssl(monkeypatch):
+    calls = _spy_openssl(monkeypatch)
+    # OpenSSL refuses the 5-bit test modulus: every power stays on pow
+    for x in B.all_elements():
+        for k in range(B.q):
+            assert x.exp(B.scalar(k)).value == pow(x.value, k, B.p)
+    assert calls == []
+    P = prod_backend()
+    short = 16
+    x = hash_to_group(b"routes", P)
+    for k in (0, 1, 2, 2 ** short - 1, P.q - 1, P.q - 2 ** short + 1):
+        x.exp(P.scalar(k))
+    assert calls == []
+    x.exp(P.scalar(2 ** short))
+    x.exp(P.scalar(P.q - 2 ** short))
+    assert calls == [2 ** short, P.q - 2 ** short]
+
+
+def test_prod_exp_identity_cases_never_reach_openssl(monkeypatch):
+    calls = _spy_openssl(monkeypatch)
+    P = prod_backend()
+    rng = random.Random(15)
+    x = hash_to_group(b"identity cases", P)
+    exponents = [P.scalar(k) for k in (0, 1, 2, P.q - 1, P.q)]
+    exponents.append(P.random_scalar(rng))
+    try:  # OpenSSL rejects a secret of 1 with a panic, not an Exception
+        results = [P.identity.exp(s) for s in exponents]
+        results.append(x.exp(P.scalar(0)))
+        results.append(x.exp(P.scalar(P.q)))
+    except BaseException as err:
+        pytest.fail(f"exp raised {type(err).__name__}: {err}")
+    assert all(y == P.identity for y in results)
+    assert calls == []
+
+
 def test_sign_verify_roundtrip_tamper_wrongkey():
     rng = random.Random(1)
     sk = SigningKey.generate(rng)

@@ -300,3 +300,15 @@ def test_prod_backend_end_to_end():
     expected = world.oracle(order)
     assert got.overall == expected.overall == DENY
     assert got.verdicts == expected.verdicts
+
+
+def test_prod_exemption_query_end_to_end():
+    covered = DEFAULT_HAZARDS[0][0]
+    config = ScenarioConfig(backend_name="prod", elt_sequences=(covered,))
+    world = build_world(config, seed=28)
+    order = [covered, CLEAN_SEQUENCES[0]]
+    got = world.synth.exemption_query(order, world.elt_chain,
+                                      world.fresh_code())
+    expected = world.oracle(order, (covered,))
+    assert got.overall == expected.overall == GRANT
+    assert got.verdicts == expected.verdicts

@@ -1,8 +1,11 @@
 """Simulator determinism, taps, the scenario script, and the closure engine."""
 
+import gc
+import weakref
+
 import pytest
 
-from dnascreen import terms
+from dnascreen import attacks, terms
 from dnascreen.closure import Knowledge, build_knowledge, secrecy_probe
 from dnascreen.crypto import TEST_BACKEND, aead_seal
 from dnascreen.errors import ScriptError
@@ -288,3 +291,32 @@ def test_script_swap_command_inverts_verdict():
     second = by_id["query-2-matches-oracle"]
     assert not second.passed
     assert "got grant, oracle says deny" in second.evidence
+
+
+@pytest.fixture
+def no_cyclic_gc():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_dropped_world_is_freed_without_the_cyclic_collector(no_cyclic_gc):
+    world = build_world(ScenarioConfig(), seed=31)
+    world.synth.basic_query([DEFAULT_HAZARDS[0][0], CLEAN_SEQUENCES[0]])
+    net = weakref.ref(world.net)
+    del world
+    assert net() is None
+
+
+@pytest.mark.parametrize("name", ["mitm-scep", "collision-forced"])
+def test_dropped_attack_result_is_freed_without_the_cyclic_collector(
+        no_cyclic_gc, name):
+    # both keep the victim's error, whose traceback frames hold the world
+    result = attacks.all_scenarios()[name](5)
+    net = weakref.ref(result.world.net)
+    del result
+    assert net() is None

@@ -2,11 +2,13 @@
 
 Runs every shipped scenario (``attacks.all_scenarios()``) at seeds 1-64,
 plus one mixed ``run_scenario`` script under each resumption x
-response-binding setting, and prints three sha256 digests:
+response-binding setting, all on the ``test`` backend, and the same script
+once on ``prod`` (resumption and binding on). Prints four sha256 digests:
 
-  outcomes     each run's ``outcome.render()`` and ``outcome.token``
-  wire         each transcript with every ``view=`` field removed
-  transcripts  each full transcript
+  outcomes     each test-backend run's ``outcome.render()`` and token
+  wire         each test-backend transcript with every ``view=`` removed
+  transcripts  each full test-backend transcript
+  prod         the prod run's outcome, token and full transcript
 
 Run it on two checkouts; equal digests show that a refactor kept the
 outcomes, the wire bytes and the formal views of every run:
@@ -44,35 +46,42 @@ def mixed_script(hazards: list, clean: list) -> str:
     return "\n".join(lines)
 
 
-def runs(src: Path):
-    """(outcome text, transcript) of every fingerprinted run, in order."""
-    sys.path.insert(0, str(src / "src"))
-    from dnascreen import attacks, scenarios
+def script_run(scenarios, backend: str, resumption: bool, bind: bool):
+    """(outcome text, transcript) of the mixed script under one setting."""
+    script = mixed_script(scenarios.DEFAULT_HAZARDS,
+                          scenarios.CLEAN_SEQUENCES)
+    config = scenarios.ScenarioConfig(
+        backend_name=backend, resumption=resumption, bind_responses=bind,
+        elt_sequences=(scenarios.DEFAULT_HAZARDS[0][0],))
+    result = scenarios.run_scenario(config, script, SCRIPT_SEED)
+    return (f"script:{resumption}:{bind}\n{result.outcome.render()}\n"
+            f"token={result.outcome.token}", result.transcript_text)
 
+
+def runs(attacks, scenarios):
+    """(outcome text, transcript) of every test-backend run, in order."""
     for name, run in attacks.all_scenarios().items():
         for seed in SEEDS:
             result = run(seed)
             yield (f"{name}:{seed}\n{result.outcome.render()}\n"
                    f"token={result.outcome.token}", result.transcript_text)
-    script = mixed_script(scenarios.DEFAULT_HAZARDS,
-                          scenarios.CLEAN_SEQUENCES)
     for resumption in (False, True):
         for bind in (False, True):
-            config = scenarios.ScenarioConfig(
-                resumption=resumption, bind_responses=bind,
-                elt_sequences=(scenarios.DEFAULT_HAZARDS[0][0],))
-            result = scenarios.run_scenario(config, script, SCRIPT_SEED)
-            yield (f"script:{resumption}:{bind}\n{result.outcome.render()}\n"
-                   f"token={result.outcome.token}", result.transcript_text)
+            yield script_run(scenarios, "test", resumption, bind)
 
 
 def fingerprint(src: Path) -> dict:
+    sys.path.insert(0, str(src / "src"))
+    from dnascreen import attacks, scenarios
+
     digests = {name: hashlib.sha256()
-               for name in ("outcomes", "wire", "transcripts")}
-    for outcome, transcript in runs(src):
+               for name in ("outcomes", "wire", "transcripts", "prod")}
+    for outcome, transcript in runs(attacks, scenarios):
         digests["outcomes"].update(outcome.encode() + b"\0")
         digests["wire"].update(_VIEW.sub(" note=", transcript).encode() + b"\0")
         digests["transcripts"].update(transcript.encode() + b"\0")
+    outcome, transcript = script_run(scenarios, "prod", True, True)
+    digests["prod"].update(outcome.encode() + b"\0" + transcript.encode())
     return {name: h.hexdigest() for name, h in digests.items()}
 
 
