@@ -12,7 +12,8 @@ from types import SimpleNamespace
 
 from . import terms
 from .channel import channel_recv, channel_send, handshake_client
-from .errors import RateLimited, ScreeningError
+from .errors import RateLimited, ScreeningError, ScriptError
+from .pki import CertChain
 from .scep import (
     SCEP,
     SCEP_PLUS,
@@ -44,7 +45,9 @@ from .screening import (
     GRANT,
     HashedDbRole,
     KeyserverRole,
+    QueryRequest,
     ServerConnection,
+    open_reply,
 )
 from .simnet import Selector, TapRule
 from .terms import Payload
@@ -56,20 +59,22 @@ from .terms import Payload
 class MitmKeyserver(KeyserverRole):
     """Keyserver that harvests its client's credentials and replays them.
 
-    On the client's SCEP hello it opens its own session to the target server,
-    replays the hello, forwards the target's cookie and nonce back inside its
-    own (legitimately signed) challenge, harvests the client's signed
-    finish, and presents it to the target. If the target accepts, it drains
-    the client's query budget there. The client is then served normally and
-    sees nothing unusual.
+    On the client's SCEP hello it opens its own session to the target server
+    (the first other keyserver), replays the hello, forwards the target's
+    cookie and nonce back inside its own (legitimately signed) challenge,
+    harvests the client's signed finish, and presents it to the target. If
+    the target accepts, it drains the client's query budget there. The
+    client is then served normally and sees nothing unusual.
     """
 
-    def __init__(self, honest: KeyserverRole, world: World,
-                 target: str = "K2"):
+    def __init__(self, honest: KeyserverRole, world: World):
+        others = [n for n in world.keyserver_names if n != honest.name]
+        if not others:
+            raise ScriptError("the relay needs a target besides the corrupt "
+                              "keyserver (n >= 2)")
         self.__dict__.update(honest.__dict__)
-        self.handlers = {b"ks-eval": self._eval}
         self.channel_ca_key = world.channel_ca.verify_key
-        self.target = target
+        self.target = others[0]
         self.stage_log: list[str] = []
         self.step6_result: str | None = None
         self.drained = 0
@@ -80,17 +85,15 @@ class MitmKeyserver(KeyserverRole):
         return _MitmConnection(self)
 
     # steps [2] and [3]: replay the hello, collect the target's challenge
-    def attack_open_target_session(self, hello_plaintext: bytes, hello_term):
+    def attack_open_target_session(self, hello: Payload):
         net = self.net
         conn = net.dial(self.name, self.target)
         session = handshake_client(conn.send, self.target,
                                    self.channel_ca_key,
                                    self.backend, self.rng)
         net.register_channel(self.name, session)
-        # a relay: the client's bytes go out under whatever term they came in
-        respond_frame = conn.send(channel_send(
-            session, Payload(hello_plaintext,
-                             hello_term or Payload.opaque(hello_plaintext).term)))
+        # a relay: the client's bytes go out under the term they came in with
+        respond_frame = conn.send(channel_send(session, hello))
         omega_w, r_w, w_chain, w_sig = decode_respond(
             channel_recv(session, respond_frame))
         self._target_state = (conn, session, omega_w, r_w, w_chain)
@@ -107,7 +110,6 @@ class MitmKeyserver(KeyserverRole):
             self.stage_log.append("target-authenticated-us-as-client")
         else:
             try:
-                from .screening import open_reply
                 open_reply(session, result)
                 self.step6_result = "UnexpectedReply"
             except ScreeningError as err:
@@ -130,7 +132,6 @@ class MitmKeyserver(KeyserverRole):
                             terms.Atom("cookie", omega_w),
                             *map(terms.element_atom, elems))
             try:
-                from .screening import open_reply
                 open_reply(session, conn.send(channel_send(
                     session, Payload.of(req))))
                 self.drained += batch
@@ -140,14 +141,13 @@ class MitmKeyserver(KeyserverRole):
 
 
 class _MitmConnection(ServerConnection):
-    def _scep_step(self, plaintext: bytes):
+    def _scep_step(self, request: Payload):
         role: MitmKeyserver = self.role
         if self.scep is None:
             # step [1]: the client volunteers its nonce and token chain
-            r_s, client_chain, _extra = decode_hello(plaintext)
+            r_s, client_chain, _extra = decode_hello(request.data)
             role.stage_log.append("harvested-hello")
-            omega_w, r_w = role.attack_open_target_session(
-                plaintext, self.last_request_term)
+            omega_w, r_w = role.attack_open_target_session(request)
             # step [4]: answer the client with our own token but the
             # target's cookie and nonce, signed by our own token key
             cfg = role.scep_config
@@ -159,7 +159,7 @@ class _MitmConnection(ServerConnection):
             return channel_send(self.channel,
                                 encode_respond(omega_w, r_w, cfg.chain, sig))
         # step [5]: the client's finish carries the critical signature y
-        _omega_echo, y = decode_finish(plaintext)
+        _omega_echo, y = decode_finish(request.data)
         role.stage_log.append("harvested-client-signature")
         role.attack_present_finish(y)
         role.attack_drain_budget()
@@ -174,21 +174,19 @@ class _MitmConnection(ServerConnection):
 class LeakyHashedDb(HashedDbRole):
     """Functionally honest database operator that exfiltrates device codes."""
 
-    def __init__(self, honest: HashedDbRole):
+    def __init__(self, honest: HashedDbRole, world: World):
         self.__dict__.update(honest.__dict__)
-        self.handlers = {b"hdb-query": self._query_and_steal}
         self.stolen: list[tuple[str, str, int]] = []
 
-    def _query_and_steal(self, conn: ServerConnection, fields_):
-        from .pki import CertChain
-        from .screening import QueryRequest
-        request = QueryRequest.decode(conn.last_request_plaintext)
-        if request.exemption is not None:
-            chain = CertChain.decode(request.exemption.chain_bytes)
+    def _query(self, conn: ServerConnection, request: Payload,
+               fields_: list) -> Payload:
+        query = QueryRequest.decode(request.data)
+        if query.exemption is not None:
+            chain = CertChain.decode(query.exemption.chain_bytes)
             self.stolen.append((chain.token.payload.device_id,
-                                request.exemption.auth_code, self.net.now()))
+                                query.exemption.auth_code, self.net.now()))
             self.net.note("corrupt database stored the device code")
-        return HashedDbRole._query(self, conn, fields_)
+        return super()._query(conn, request, fields_)
 
     def replay_stolen_code(self) -> bool:
         """Present the captured (device, code) to the backend as our own."""
@@ -196,23 +194,26 @@ class LeakyHashedDb(HashedDbRole):
         return self._auth_check(device_id, code, self.net.now())
 
 
-STRATEGIES = {
-    "mitm": lambda world, name: MitmKeyserver(world.keyservers[name], world),
-    "leaky": lambda world, name: LeakyHashedDb(world.hdb),
-}
+# Each strategy is a subclass of the one honest role class it can corrupt,
+# built from that role and its world.
+STRATEGIES = {"mitm": MitmKeyserver, "leaky": LeakyHashedDb}
 
 
 def apply_corruption(world: World):
+    """Replace every role named in ``config.corrupt`` by its strategy."""
     for name, strategy in world.config.corrupt.items():
-        factory = STRATEGIES.get(strategy)
-        if factory is None:
-            from .errors import ScriptError
+        cls = STRATEGIES.get(strategy)
+        if cls is None:
             raise ScriptError(f"unknown corruption strategy {strategy!r}")
-        role = factory(world, name)
+        honest = world.net.roles.get(name)
+        if type(honest) is not cls.__base__:
+            raise ScriptError(f"strategy {strategy!r} corrupts a "
+                              f"{cls.__base__.__name__}, not role {name!r}")
+        role = cls(honest, world)
         world.net.register_role(role, corrupt=True)
         if name in world.keyservers:
             world.keyservers[name] = role
-        elif name == "H":
+        else:
             world.hdb = role
 
 
@@ -231,12 +232,7 @@ def attack_mitm_rate_limit(variant: str = SCEP, seed: int = 7,
     """
     config = replace(base or ScenarioConfig(), scep_variant=variant,
                      corrupt={"K1": "mitm"})
-    if config.n_keyservers < 2:
-        from .errors import ScriptError
-        raise ScriptError("the relay needs a target besides the corrupt "
-                          "keyserver (n >= 2)")
     world = build_world(config, seed)
-    apply_corruption(world)
     mitm: MitmKeyserver = world.keyservers["K1"]
     target: KeyserverRole = world.keyservers[mitm.target]
     sigma = world.synth.chain.token.sigma
@@ -410,7 +406,6 @@ def attack_passcode_replay(seed: int = 13,
     covered = base.hazards[0][0]
     config = replace(base, corrupt={"H": "leaky"}, elt_sequences=(covered,))
     world = build_world(config, seed)
-    apply_corruption(world)
     hdb: LeakyHashedDb = world.hdb
 
     order = [covered, CLEAN_SEQUENCES[0]]
@@ -452,7 +447,6 @@ def attack_token_collision_dos(forced: bool = True, seed: int = 17,
     """
     config = base or ScenarioConfig()
     if config.rate_limit > 5000:
-        from .errors import ScriptError
         raise ScriptError("budget exhaustion is a desk-scale demonstration; "
                           "use --rate-limit <= 5000")
     world = build_world(config, seed)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import pki
 from .crypto import SigningKey
-from .errors import ScreeningError
+from .errors import ScreeningError, ScriptError
 from .scep import SCEP, SCEP_PLUS
 from .scenarios import (
     DEFAULT_HAZARDS,
@@ -23,6 +23,18 @@ from .scenarios import (
 from .screening import HIT, HIT_EXEMPT
 from . import attacks
 from .simnet import CLOCK_START
+
+
+def _hex(text: str) -> bytes:
+    try:
+        return bytes.fromhex(text)
+    except ValueError as e:
+        raise ScriptError(f"bad hex {text!r}: {e}") from None
+
+
+def _hex_list(spec: str) -> list:
+    """Comma-separated hex values."""
+    return [_hex(h) for h in spec.split(",") if h]
 
 
 def _onoff(value: str) -> bool:
@@ -195,9 +207,9 @@ def _load_revocations(path: Path | None) -> pki.RevocationList:
         for line in path.read_text().splitlines():
             kind, _, value = line.strip().partition(" ")
             if kind == "sigma":
-                revs.revoked_sigma.add(bytes.fromhex(value))
+                revs.revoked_sigma.add(_hex(value))
             elif kind == "key":
-                revs.revoked_keys.add(bytes.fromhex(value))
+                revs.revoked_keys.add(_hex(value))
     return revs
 
 
@@ -239,8 +251,7 @@ def cmd_pki(args) -> int:
         else:
             sub_key = SigningKey.generate(rng)
             _write_key(args.out, sub_key, suffix=".subkey")
-            seqs = tuple(bytes.fromhex(h)
-                         for h in args.sequences.split(",") if h)
+            seqs = tuple(_hex_list(args.sequences))
             payload = pki.ExemptionPayload(seqs, args.device_id or args.name,
                                            sub_key.verify_key)
         token = pki.issue_token(leaf_chain.path[0], leaf_key, ttype, payload,
@@ -255,7 +266,7 @@ def cmd_pki(args) -> int:
     elif cmd == "issue-subtoken":
         parent_chain = _read_bundle(args.parent)
         sub_key = _read_key(args.subtoken_key)
-        seqs = tuple(bytes.fromhex(h) for h in args.sequences.split(",") if h)
+        seqs = tuple(_hex_list(args.sequences))
         sub = pki.issue_subtoken(parent_chain.token, sub_key, seqs, rng)
         _write_bundle(args.out, pki.CertChain(
             path=parent_chain.path, token=sub,
@@ -292,14 +303,14 @@ def _load_hazards(path: Path | None) -> list:
         if not line or line.startswith("#"):
             continue
         parts = line.split(None, 2)
-        hazards.append((bytes.fromhex(parts[0]),
+        hazards.append((_hex(parts[0]),
                         parts[1] if len(parts) > 1 else "",
                         parts[2] if len(parts) > 2 else ""))
     return hazards
 
 
 def _load_order(path: Path) -> list:
-    return [bytes.fromhex(line.strip())
+    return [_hex(line.strip())
             for line in path.read_text().splitlines()
             if line.strip() and not line.startswith("#")]
 
@@ -325,7 +336,7 @@ def _emit(result, out: Path | None, stdout_transcript: bool = False):
 def cmd_run(args) -> int:
     hazards = _load_hazards(args.hazards)
     if args.run_command == "script":
-        exempt = [bytes.fromhex(h) for h in args.exempt.split(",") if h]
+        exempt = _hex_list(args.exempt)
         config = _config_from(args, hazards, exempt)
         result = run_scenario(config, args.file.read_text(), args.seed,
                               name=f"script:{args.file.name}")
@@ -339,7 +350,7 @@ def cmd_run(args) -> int:
         config = _config_from(args, hazards)
         script = f"query S {','.join(s.hex() for s in order)}"
     else:
-        exempt = [bytes.fromhex(h) for h in args.exempt.split(",") if h]
+        exempt = _hex_list(args.exempt)
         config = _config_from(args, hazards, exempt)
         script = (f"query-exempt S {','.join(s.hex() for s in order)} "
                   f"code={args.code}")

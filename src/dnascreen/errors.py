@@ -156,20 +156,13 @@ class ScriptError(ScreeningError):
     pass
 
 
-# Registry used to rehydrate errors received over the wire.
-_REMOTE = {
-    cls.__name__: cls
-    for cls in [
-        AuthenticationFailure, DecodeError, InvalidThreshold, DuplicateIndex,
-        WrongResponseCount, NonInvertibleBlind, LevelViolation, TypeMismatch,
-        NotASubset, NoSubtokenKey, BadSignature, UntrustedRoot, Expired,
-        Revoked, BadServerCert, BadKeyExchangeSig, FinishedMismatch,
-        ResumptionDisabled, MessageDropped, BadClientChain, BadServerChain,
-        BadServerSig, BadCookie, BadClientSig, RateLimited, BadEltChain,
-        AuthBackendRejected, UnknownDevice, ResponseBindingMismatch,
-        InvalidSequence, ScriptError,
-    ]
-}
+def _subclasses(cls) -> list:
+    return [c for sub in cls.__subclasses__()
+            for c in [sub, *_subclasses(sub)]]
+
+
+# Registry used to rehydrate errors received over the wire: every error above.
+_REMOTE = {cls.__name__: cls for cls in _subclasses(ScreeningError)}
 
 
 def raise_remote(name: str, detail: str = ""):

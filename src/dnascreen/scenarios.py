@@ -66,6 +66,8 @@ class ScenarioConfig:
             raise ScriptError(f"unknown SCEP variant {self.scep_variant!r}")
         if not 1 <= self.threshold <= self.n_keyservers:
             raise ScriptError("threshold must be within the keyserver count")
+        if not 0 <= self.rate_limit <= pki.U64_MAX:
+            raise ScriptError("rate limit must fit in 64 bits")
 
 
 @dataclass
@@ -198,7 +200,7 @@ class World:
         self.synth = self.add_synthesizer("S", config.rate_limit)
 
         for role in [*self.keyservers.values(), self.hdb, self.auth]:
-            net.register_role(role, corrupt=role.name in config.corrupt)
+            net.register_role(role)
 
     def add_synthesizer(self, name: str, rate_limit: int,
                         forced_sigma: bytes | None = None) -> SynthesizerRole:
@@ -274,13 +276,14 @@ class _ForcedSigmaRng:
 
 
 def build_world(config: ScenarioConfig, seed: int) -> World:
+    """A fresh world, with the roles named in ``config.corrupt`` corrupted."""
     config.validate()
-    for name in config.corrupt:
-        if name not in (["S", "H", "A"]
-                        + [f"K{i + 1}" for i in range(config.n_keyservers)]):
-            raise ScriptError(f"undeclared role {name!r} marked corrupt")
-    net = SimNetwork(seed)
-    return World(config, net)
+    world = World(config, SimNetwork(seed))
+    if config.corrupt:
+        # the strategies live with the attack scripts, which import this
+        from .attacks import apply_corruption
+        apply_corruption(world)
+    return world
 
 
 # --- standard assertions -------------------------------------------------------
@@ -399,10 +402,6 @@ def run_scenario(config: ScenarioConfig, script: str, seed: int,
             config.corrupt[parts[1]] = parts[2] if len(parts) > 2 else "leaky"
 
     world = build_world(config, seed)
-    if config.corrupt:
-        from . import attacks  # strategies live with the attack scripts
-        attacks.apply_corruption(world)
-
     assertions = []
     resume_next = set()
     query_no = 0

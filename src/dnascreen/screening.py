@@ -303,7 +303,11 @@ def _tag_payload(tag: bytes) -> Payload:
 
 def open_reply(channel: ChannelSession, frame: bytes) -> list:
     """Receive a record, raising remotely-reported errors locally."""
-    fields_ = wire.unpack_fields(channel_recv(channel, frame))
+    return raise_error_record(wire.unpack_fields(channel_recv(channel, frame)))
+
+
+def raise_error_record(fields_: list) -> list:
+    """The fields of a record, unless it is an ``error`` record: raise that."""
     if fields_ and fields_[0] == b"error":
         if len(fields_) != 3:
             raise DecodeError("malformed error record")
@@ -322,27 +326,28 @@ class ServerConnection:
         self.channel = None
         self.scep = None
         self.auth: Authenticated | None = None
-        self.last_request_plaintext = b""
-        self.last_request_term = None
 
-    def handle(self, data: bytes, inbound_term=None) -> Payload | None:
+    def handle(self, data: bytes, inbound_term) -> Payload | None:
         if self.channel is None:
             return self._handshake_step(data)
-        plaintext = channel_recv(self.channel, data)
-        if inbound_term is not None and isinstance(inbound_term, terms.Sealed):
+        if isinstance(inbound_term, terms.Sealed):
             inbound_term = inbound_term.inner
-        self.last_request_plaintext = plaintext
-        self.last_request_term = inbound_term
+        request = Payload(channel_recv(self.channel, data), inbound_term)
         try:
             if self.role.requires_scep and self.auth is None:
-                return self._scep_step(plaintext)
-            return self._request(plaintext)
+                return self._scep_step(request)
+            return self._request(request)
         except ScreeningError as err:
             return channel_send(self.channel, error_payload(err))
 
     def _handshake_step(self, data: bytes) -> Payload:
         fields_ = wire.unpack_fields(data)
         tag = fields_[0] if fields_ else b""
+        if tag == b"client-hello":
+            self.hs = ServerHandshake(
+                self.role.tls_identity, self.role.tls_key, self.role.backend,
+                self.role.rng, resumption_allowed=self.role.resumption_allowed)
+            return self.hs.receive_client_hello(data)
         if tag == b"resume":
             if len(fields_) != 2:
                 raise DecodeError("malformed resume")
@@ -350,49 +355,50 @@ class ServerConnection:
             if cached is None or not self.role.resumption_allowed:
                 return _tag_payload(b"resume-reject")
             self.channel = resume_session(cached)
-            self.role.on_channel(self)
-            return _tag_payload(b"resume-ok")
-        if tag == b"client-hello":
-            self.hs = ServerHandshake(
-                self.role.tls_identity, self.role.tls_key, self.role.backend,
-                self.role.rng, resumption_allowed=self.role.resumption_allowed)
-            return self.hs.receive_client_hello(data)
-        if tag == b"client-kex":
+            reply = _tag_payload(b"resume-ok")
+        elif tag == b"client-kex":
             if self.hs is None:
                 raise DecodeError("client key exchange before client hello")
             reply = self.hs.receive_client_kex(data)
             self.channel = self.hs.session
             if self.role.resumption_allowed:
                 self.role.session_cache[self.channel.session_id()] = self.channel
-            self.role.on_channel(self)
-            return reply
-        raise DecodeError(f"unexpected handshake message {tag!r}")
+        else:
+            raise DecodeError(f"unexpected handshake message {tag!r}")
+        self.role.net.register_channel(self.role.name, self.channel)
+        return reply
 
-    def _scep_step(self, plaintext: bytes) -> Payload | None:
+    def _scep_step(self, request: Payload) -> Payload | None:
+        net = self.role.net
         if self.scep is None:
             self.scep = ScepServerSession(self.role.scep_config)
-            reply = self.scep.respond(plaintext, self.channel, self.role.rng,
-                                      self.role.net.now())
-            self.role.on_scep_responded(self)
+            reply = self.scep.respond(request.data, self.channel,
+                                      self.role.rng, net.now())
+            net.record_server_session(self.role.name, self.scep)
             return reply
-        self.auth = self.scep.verify(plaintext)
-        self.role.on_authenticated(self)
+        self.auth = self.scep.verify(request.data)
+        net.record_server_authenticated(self.scep, self.auth)
         return None
 
-    def _request(self, plaintext: bytes) -> Payload:
-        fields_ = wire.unpack_fields(plaintext)
+    def _request(self, request: Payload) -> Payload:
+        fields_ = wire.unpack_fields(request.data)
         tag = fields_[0] if fields_ else b""
-        handler = self.role.handlers.get(tag)
-        if handler is None:
+        name = self.role.requests.get(tag)
+        if name is None:
             raise DecodeError(f"no handler for request {tag!r}")
-        reply = handler(self, fields_)
+        reply = getattr(self.role, name)(self, request, fields_)
         return channel_send(self.channel, reply)
 
 
 class ServerRole:
-    """Shared shape of every network-facing server role."""
+    """Shared shape of every network-facing server role.
+
+    ``requests`` names the method that answers each request tag, called as
+    ``method(conn, request, fields_)``; a corrupt role overrides it.
+    """
 
     requires_scep = True
+    requests: dict = {}
 
     def __init__(self, name: str, backend: GroupBackend,
                  tls_identity: ServerTlsIdentity, tls_key: SigningKey,
@@ -405,23 +411,9 @@ class ServerRole:
         self.resumption_allowed = resumption_allowed
         self.session_cache = {}
         self.net = None  # set at registration
-        self.handlers = {}
 
     def open_connection(self) -> ServerConnection:
         return ServerConnection(self)
-
-    def on_channel(self, conn: ServerConnection):
-        if self.net is not None:
-            self.net.register_channel(self.name, conn.channel)
-
-    def on_scep_responded(self, conn: ServerConnection):
-        if self.net is not None:
-            self.net.record_server_session(self.name, conn.scep)
-
-    def on_authenticated(self, conn: ServerConnection):
-        if self.net is not None:
-            self.net.record_server_authenticated(self.name, conn.scep,
-                                                 conn.auth)
 
     def long_term_key_atoms(self) -> list:
         """Atoms exported to the adversary when this role is corrupted."""
@@ -431,6 +423,8 @@ class ServerRole:
 class KeyserverRole(ServerRole):
     """Applies its key share to blinded elements, subject to the rate ledger."""
 
+    requests = {b"ks-eval": "_eval"}
+
     def __init__(self, name, backend, tls_identity, tls_key,
                  scep_config: ScepServerConfig, share: KeyShare, rng,
                  resumption_allowed=False):
@@ -439,9 +433,9 @@ class KeyserverRole(ServerRole):
         self.scep_config = scep_config
         self.share = share
         self.ledger = RateLimitLedger()
-        self.handlers = {b"ks-eval": self._eval}
 
-    def _eval(self, conn: ServerConnection, fields_) -> Payload:
+    def _eval(self, conn: ServerConnection, request: Payload,
+              fields_: list) -> Payload:
         if len(fields_) < 2:
             raise DecodeError("malformed eval request")
         cookie = fields_[1]
@@ -455,7 +449,7 @@ class KeyserverRole(ServerRole):
             raise RateLimited(
                 f"window budget exceeded for sigma {conn.auth.sigma.hex()}")
         out_terms = []
-        in_terms = _element_terms_of(conn.last_request_term, len(element_bytes))
+        in_terms = _element_terms_of(request.term, len(element_bytes))
         for b, t in zip(element_bytes, in_terms):
             res = eval_share(self.share, self.backend.decode_element(b)).encode()
             out_terms.append(_extend_element_term(t, self.share.value, res))
@@ -491,6 +485,8 @@ def _extend_element_term(inbound, share_scalar: Scalar, result_bytes: bytes):
 class HashedDbRole(ServerRole):
     """Holds the keyed-hash database; answers membership and exemption queries."""
 
+    requests = {b"hdb-query": "_query"}
+
     def __init__(self, name, backend, tls_identity, tls_key,
                  scep_config: ScepServerConfig, db: HazardDb, rng, *,
                  exemption_root: Certificate, auth_backend_name: str,
@@ -507,7 +503,6 @@ class HashedDbRole(ServerRole):
         self.channel_ca_key = channel_ca_key
         self.bind_responses = bind_responses
         self.ledger = RateLimitLedger()
-        self.handlers = {b"hdb-query": self._query}
 
     def _auth_check(self, device_id: str, code: str, now: int) -> bool:
         """One backend round-trip per request; results are never cached."""
@@ -523,18 +518,19 @@ class HashedDbRole(ServerRole):
             channel_send(session, Payload.of(req))))
         return reply == [b"auth-ok"]
 
-    def _query(self, conn: ServerConnection, fields_) -> Payload:
-        request = QueryRequest.decode(conn.last_request_plaintext)
+    def _query(self, conn: ServerConnection, request: Payload,
+               fields_: list) -> Payload:
         response = hdb_lookup(
-            self.db, request, self.ledger, self.net.now(),
-            expected_cookie=conn.scep.omega, sigma=conn.auth.sigma,
-            mu=conn.auth.rate_limit, exemption_root=self.exemption_root,
+            self.db, QueryRequest.decode(request.data), self.ledger,
+            self.net.now(), expected_cookie=conn.scep.omega,
+            sigma=conn.auth.sigma, mu=conn.auth.rate_limit,
+            exemption_root=self.exemption_root,
             revocations=self.elt_revocations, auth_check=self._auth_check)
         core = response.encode_core()
         sig = b""
         if self.bind_responses:
             sig = self.scep_config.signing_key.sign(wire.digest_fields(
-                b"response-binding", conn.last_request_plaintext, core))
+                b"response-binding", request.data, core))
         return Payload.of(terms.cat(terms.blob(core), terms.blob(sig)))
 
     def long_term_key_atoms(self):
@@ -547,14 +543,15 @@ class AuthBackendRole(ServerRole):
     """Verifies one-time device codes; reachable over its own channel."""
 
     requires_scep = False
+    requests = {b"auth-verify": "_verify"}
 
     def __init__(self, name, backend, tls_identity, tls_key, devices: dict,
                  rng):
         super().__init__(name, backend, tls_identity, tls_key, rng)
         self.devices = devices
-        self.handlers = {b"auth-verify": self._verify}
 
-    def _verify(self, conn: ServerConnection, fields_) -> Payload:
+    def _verify(self, conn: ServerConnection, request: Payload,
+                fields_: list) -> Payload:
         if len(fields_) != 4:
             raise DecodeError("malformed auth-verify")
         _, dev, code, ts = fields_
@@ -630,9 +627,10 @@ class SynthesizerRole:
         scep_session = ScepClientSession(
             self.config.scep_variant, self.chain, self.signing_key,
             self.trusted_infra_root, self.rng, keyserver_extra=keyserver_extra)
-        respond = conn.send(scep_session.hello(session))
-        finish = scep_session.finish(channel_recv(session, respond), session,
-                                     net.now())
+        # a server that rejects the hello answers with an error record
+        respond = channel_recv(session, conn.send(scep_session.hello(session)))
+        raise_error_record(wire.unpack_fields(respond))
+        finish = scep_session.finish(respond, session, net.now())
         result = conn.send(finish)
         if result is not None:
             open_reply(session, result)  # only error records come back here

@@ -308,16 +308,13 @@ class SimNetwork:
              "honest": server not in self.corrupt,
              "authenticated": False, "auth": None})
 
-    def record_server_authenticated(self, server: str, scep_session, auth):
+    def record_server_authenticated(self, scep_session, auth):
+        """Mark the session recorded at respond time as authenticated."""
         for entry in self.server_sessions:
             if entry["session"] is scep_session:
                 entry["authenticated"] = True
                 entry["auth"] = auth
                 return
-        self.server_sessions.append(
-            {"server": server, "session": scep_session,
-             "honest": server not in self.corrupt,
-             "authenticated": True, "auth": auth})
 
     def add_secret(self, name: str, *, data: bytes = b"", label: str = ""):
         self.secrets.append({"name": name, "data": data, "label": label})

@@ -9,6 +9,8 @@ from dnascreen.attacks import (
     attack_response_swap,
     attack_token_collision_dos,
 )
+from dnascreen.errors import ScriptError
+from dnascreen.scenarios import ScenarioConfig
 from dnascreen.scep import SCEP, SCEP_PLUS
 
 
@@ -40,6 +42,12 @@ def test_mitm_under_scep_plus_blocked():
     assert by_id(result, "victim-query-unaffected").passed
     assert by_id(result, "injective-agreement-holds").passed
     assert by_id(result, "cookie-secrecy").passed
+
+
+def test_mitm_needs_a_second_keyserver():
+    with pytest.raises(ScriptError):
+        attack_mitm_rate_limit(base=ScenarioConfig(n_keyservers=1,
+                                                   threshold=1))
 
 
 def test_mitm_is_deterministic():

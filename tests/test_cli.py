@@ -124,6 +124,33 @@ def test_run_custom_hazard_file(tmp_path, capsys):
     assert "OUTCOME: DENY" in out
 
 
+INPUT_FILES = {"order": f"{CLEAN.hex()}\n",
+               "bad_order": f"{CLEAN.hex()}\nnot-hex\n",
+               "bad_hazards": "gg agent reason\n",
+               # a database cannot relay like a keyserver
+               "bad_script": f"corrupt H mitm\nquery S {CLEAN.hex()}\n"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", "basic", "--order", "{bad_order}"),
+    ("run", "basic", "--order", "{order}", "--hazards", "{bad_hazards}"),
+    ("run", "exemption", "--order", "{order}", "--exempt", "zz"),
+    ("run", "basic", "--order", "{order}", "--rate-limit", "-1"),
+    ("attack", "collision", "--rate-limit", "-1"),
+    ("run", "script", "--file", "{bad_script}"),
+], ids=["order", "hazards", "exempt", "rate-limit", "attack-rate-limit",
+        "corrupt"])
+def test_bad_input_ends_in_an_outcome_line(tmp_path, capsys, argv):
+    paths = {}
+    for name, text in INPUT_FILES.items():
+        paths[name] = tmp_path / f"{name}.txt"
+        paths[name].write_text(text)
+    code, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
+    assert code == 1
+    assert out.strip().splitlines()[-1] == "OUTCOME: ERROR:ScriptError"
+    assert "ScriptError" in err
+
+
 def test_run_script_file(tmp_path, capsys):
     script = tmp_path / "scenario.txt"
     script.write_text(f"query S {CLEAN.hex()}\n"

@@ -1,12 +1,12 @@
-"""Malformed input ends in a typed DecodeError, never a raw Python exception."""
+"""Malformed or rejected input ends in a typed error, never a raw exception."""
 
 from dataclasses import dataclass, replace
 
 import pytest
 
-from dnascreen import scep, terms, wire
+from dnascreen import errors, scep, terms, wire
 from dnascreen.channel import channel_send, handshake_client
-from dnascreen.errors import DecodeError
+from dnascreen.errors import DecodeError, Revoked, ScreeningError
 from dnascreen.scenarios import CLEAN_SEQUENCES, ScenarioConfig, build_world
 from dnascreen.screening import open_reply
 from dnascreen.terms import Payload
@@ -47,7 +47,9 @@ def test_auth_verify_with_wrong_field_count(world, fields_):
 
 
 def _stub(role, tag: bytes, payload: Payload):
-    role.handlers[tag] = lambda conn, fields_: payload
+    """The role answers requests tagged ``tag`` with ``payload``."""
+    setattr(role, role.requests[tag],
+            lambda conn, request, fields_: payload)
 
 
 @pytest.mark.parametrize("payload", [
@@ -77,6 +79,27 @@ def test_malformed_error_record(world, fields_):
           Payload.opaque(wire.pack_fields(*fields_)))
     with pytest.raises(DecodeError):
         world.synth.basic_query(ORDER)
+
+
+def test_scep_rejection_reaches_the_synthesizer_typed(world):
+    # K1 answers the revoked token's hello with an error record, which the
+    # synthesizer raises as that error instead of misreading it as a respond
+    revocations = world.keyservers["K1"].scep_config.revocations
+    revocations.revoked_sigma.add(world.synth.chain.token.sigma)
+    with pytest.raises(Revoked):
+        world.synth.basic_query(ORDER)
+
+
+ERROR_CLASSES = [obj for obj in vars(errors).values()
+                 if isinstance(obj, type) and issubclass(obj, ScreeningError)
+                 and obj is not ScreeningError]
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_every_error_survives_the_wire(cls):
+    with pytest.raises(ScreeningError) as info:
+        errors.raise_remote(cls.__name__, "detail")
+    assert type(info.value) is cls
 
 
 @dataclass(frozen=True)

@@ -50,8 +50,13 @@ def test_script_rejects_unknown_command_and_role():
         run_scenario(ScenarioConfig(), "frobnicate S", seed=1)
     with pytest.raises(ScriptError):
         run_scenario(ScenarioConfig(), f"query S9 {CLEAN}", seed=1)
-    with pytest.raises(ScriptError):
-        run_scenario(ScenarioConfig(), "corrupt NOSUCH mitm", seed=1)
+    for corrupt in ("corrupt NOSUCH mitm", "corrupt K1 evil",
+                    # each strategy fits one kind of role only
+                    "corrupt H mitm", "corrupt A mitm", "corrupt K2 leaky",
+                    "corrupt S leaky", "corrupt K1"):
+        with pytest.raises(ScriptError):
+            run_scenario(ScenarioConfig(), f"{corrupt}\nquery S {CLEAN}",
+                         seed=1)
     with pytest.raises(ScriptError):
         run_scenario(ScenarioConfig(), f"query-exempt S {CLEAN} code=fresh",
                      seed=1)  # no exemption token configured
@@ -277,6 +282,17 @@ def test_script_corrupt_mitm_reports_the_damage():
     assert "RateLimited" in by_id["query-1-matches-oracle"].evidence
 
 
+def test_script_corrupt_second_keyserver_relays_to_the_first():
+    result = run_scenario(ScenarioConfig(),
+                          f"corrupt K2 mitm\nquery S {CLEAN}", seed=62)
+    mitm = result.world.keyservers["K2"]
+    assert isinstance(mitm, attacks.MitmKeyserver)
+    assert mitm.target == "K1"
+    assert mitm.step6_result == "Authenticated" and mitm.drained > 0
+    by_id = {a.id: a for a in result.outcome.assertions}
+    assert "RateLimited" in by_id["query-1-matches-oracle"].evidence
+
+
 def test_script_swap_command_inverts_verdict():
     # the full text-command surface of the response-swap experiment
     config = ScenarioConfig(resumption=True)
@@ -304,19 +320,28 @@ def no_cyclic_gc():
             gc.enable()
 
 
+def _refs_to_network_and_roles(world) -> list:
+    """Weak references to the network and every server role it serves."""
+    return [weakref.ref(world.net),
+            *map(weakref.ref, world.net.roles.values())]
+
+
 def test_dropped_world_is_freed_without_the_cyclic_collector(no_cyclic_gc):
     world = build_world(ScenarioConfig(), seed=31)
     world.synth.basic_query([DEFAULT_HAZARDS[0][0], CLEAN_SEQUENCES[0]])
-    net = weakref.ref(world.net)
+    refs = _refs_to_network_and_roles(world)
+    assert {"K1", "K2", "K3", "H", "A"} <= set(world.net.roles)
     del world
-    assert net() is None
+    assert [ref() for ref in refs] == [None] * len(refs)
 
 
-@pytest.mark.parametrize("name", ["mitm-scep", "collision-forced"])
+@pytest.mark.parametrize("name", ["mitm-scep", "collision-forced",
+                                  "passcode-replay"])
 def test_dropped_attack_result_is_freed_without_the_cyclic_collector(
         no_cyclic_gc, name):
-    # both keep the victim's error, whose traceback frames hold the world
+    # mitm and collision keep the victim's error, whose traceback frames
+    # hold the world; mitm and passcode replace a role by a corrupt one
     result = attacks.all_scenarios()[name](5)
-    net = weakref.ref(result.world.net)
+    refs = _refs_to_network_and_roles(result.world)
     del result
-    assert net() is None
+    assert [ref() for ref in refs] == [None] * len(refs)
