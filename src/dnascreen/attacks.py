@@ -10,7 +10,7 @@ evidence pointers into the transcript.
 from dataclasses import replace
 from types import SimpleNamespace
 
-from . import terms
+from . import terms, wire
 from .channel import channel_recv, channel_send, handshake_client
 from .errors import RateLimited, ScreeningError, ScriptError
 from .pki import CertChain
@@ -48,6 +48,7 @@ from .screening import (
     QueryRequest,
     ServerConnection,
     open_reply,
+    raise_error_record,
 )
 from .simnet import Selector, TapRule
 from .terms import Payload
@@ -93,9 +94,10 @@ class MitmKeyserver(KeyserverRole):
                                    self.backend, self.rng)
         net.register_channel(self.name, session)
         # a relay: the client's bytes go out under the term they came in with
-        respond_frame = conn.send(channel_send(session, hello))
-        omega_w, r_w, w_chain, w_sig = decode_respond(
-            channel_recv(session, respond_frame))
+        respond = channel_recv(session, conn.send(channel_send(session, hello)))
+        # a target that rejects the hello answers with an error record
+        raise_error_record(wire.unpack_fields(respond))
+        omega_w, r_w, w_chain, w_sig = decode_respond(respond)
         self._target_state = (conn, session, omega_w, r_w, w_chain)
         self.attack_cookie = omega_w
         self.stage_log.append("replayed-hello-and-got-challenge")
@@ -304,9 +306,8 @@ def attack_mitm_rate_limit(variant: str = SCEP, seed: int = 7,
 def _unmatched_authenticated_sessions(world: World) -> list:
     """Authenticated honest-server sessions without exactly one client."""
     net = world.net
-    return [entry for entry in net.server_sessions
-            if entry["honest"] and entry["authenticated"]
-            and len(matching_client_sessions(net, entry)) != 1]
+    return [entry for _, entry in net.honest_authenticated_sessions()
+            if len(matching_client_sessions(net, entry)) != 1]
 
 
 def _full_agreement_assertion(world: World) -> list:
@@ -478,8 +479,8 @@ def attack_token_collision_dos(forced: bool = True, seed: int = 17,
 
     both_authenticated = {
         e["auth"].client_name
-        for e in net.server_sessions
-        if e["authenticated"] and e["auth"].sigma == sigma}
+        for e in net.server_sessions.values()
+        if e["auth"] is not None and e["auth"].sigma == sigma}
 
     assertions = [
         Assertion("first-honest-query-grants", first.overall == GRANT, ""),

@@ -420,7 +420,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return cmd_run(args)
         return cmd_attack(args)
-    except ScreeningError as err:
+    except (ScreeningError, OSError) as err:  # OSError: an unreadable file
         print(f"{type(err).__name__}: {err}", file=sys.stderr)
         print(f"OUTCOME: ERROR:{type(err).__name__}")
         return 1

@@ -158,8 +158,9 @@ def build_knowledge(net, backend: GroupBackend) -> Knowledge:
     kn = Knowledge(backend)
     for atom, why in net.initial_knowledge:
         kn.add(atom, f"initial: {why}")
-    for term, step in net.observed:
-        kn.add(term, f"tapped at step {step}")
+    for ev in net.transcript.events:
+        if ev.term is not None:
+            kn.add(ev.term, f"tapped at step {ev.step}")
     kn.close()
     return kn
 

@@ -304,14 +304,10 @@ def secrecy_assertions(world: World, expect_cookie_leak: bool = False) -> list:
         "; ".join(f"{r.name} leaked via {r.evidence}" for r in bad)
         or f"{len(results)} order secrets stay out of the closure"))
 
-    cookie_secrets = []
-    for i, entry in enumerate(net.server_sessions):
-        if entry["honest"] and entry["authenticated"]:
-            omega = entry["session"].omega
-            cookie_secrets.append({
-                "name": f"omega:{entry['server']}:{i}", "data": omega,
-                "label": "",
-            })
+    cookie_secrets = [
+        {"name": f"omega:{entry['server']}:{i}",
+         "data": entry["session"].omega, "label": ""}
+        for i, entry in net.honest_authenticated_sessions()]
     if cookie_secrets:
         results = closure.probe(kn, cookie_secrets)
         leaked = [r for r in results if r.leaked]
@@ -348,9 +344,7 @@ def agreement_assertions(world: World) -> list:
     """Executable agreement check over the session registries."""
     net = world.net
     out = []
-    for i, entry in enumerate(net.server_sessions):
-        if not (entry["honest"] and entry["authenticated"]):
-            continue
+    for i, entry in net.honest_authenticated_sessions():
         n = len(matching_client_sessions(net, entry))
         out.append(Assertion(
             f"agreement:{entry['server']}:{i}", n == 1,

@@ -240,30 +240,24 @@ def hdb_lookup(db: HazardDb, request: QueryRequest, ledger: RateLimitLedger,
             raise AuthBackendRejected(
                 f"device {device_id!r} rejected the one-time code")
         exempt_set = set(request.exemption.hashed_exempt)
-
-    verdicts = []
-    for elt in request.hashed:
-        meta = db.lookup(elt)
-        if meta is None:
-            verdicts.append(Verdict(CLEAR))
-        elif elt in exempt_set:
-            verdicts.append(Verdict(HIT_EXEMPT))
-        else:
-            verdicts.append(Verdict(HIT, meta[0], meta[1]))
-    return QueryResponse(verdicts, overall_of(verdicts))
+    return screen_hashed(db, request.hashed, exempt_set)
 
 
 def oracle_query(order: list, k: Scalar, db: HazardDb,
                  exempt_seqs: tuple = ()) -> QueryResponse:
     """No-network oracle: keyed-hash each sequence directly and scan the db."""
-    exempt = {doprf_direct(s, k).encode() for s in exempt_seqs}
+    return screen_hashed(db, [doprf_direct(s, k).encode() for s in order],
+                         {doprf_direct(s, k).encode() for s in exempt_seqs})
+
+
+def screen_hashed(db: HazardDb, hashed: list, exempt: set) -> QueryResponse:
+    """The verdict on each encoded keyed hash: clear, exempt hit, or hit."""
     verdicts = []
-    for s in order:
-        e = doprf_direct(s, k).encode()
-        meta = db.lookup(e)
+    for elt in hashed:
+        meta = db.lookup(elt)
         if meta is None:
             verdicts.append(Verdict(CLEAR))
-        elif e in exempt:
+        elif elt in exempt:
             verdicts.append(Verdict(HIT_EXEMPT))
         else:
             verdicts.append(Verdict(HIT, meta[0], meta[1]))

@@ -6,6 +6,10 @@ seed) yields byte-identical transcripts: all randomness flows from one
 seeded generator, the clock only moves when told to, and roles run strictly
 one event at a time (nested dials included).
 
+The transcript is the network's one log: the adversary's closure reads the
+terms its events keep (``Event.term``, never rendered), and notes are its
+``note`` events.
+
 Tap selectors address messages as ``link:direction:conn:slot`` where slot is
 ``rN`` (record with wire sequence N) or ``mN`` (Nth message on that
 connection and direction, 0-based), e.g. ``S->H:s2c:1:r1``.
@@ -37,6 +41,7 @@ class Event:
     sender: str = "-"
     receiver: str = "-"
     view: str = ""  # structural view of the payload, decrypted where known
+    term: object = None  # what the adversary read here; not rendered
 
     def render(self) -> str:
         seq = "-" if self.seq is None else str(self.seq)
@@ -160,12 +165,10 @@ class SimNetwork:
         self._conn_stack: list[Conn] = []
         # Adversary view and scenario bookkeeping.
         self.initial_knowledge: list = []
-        self.observed: list[tuple[object, int]] = []  # (term, step)
-        self.channel_registry: list = []  # (link, conn, client_label, server_label)
+        self.record_keys: dict = {}  # (link, conn, direction) -> write-key label
         self.client_sessions: list = []
-        self.server_sessions: list = []
+        self.server_sessions: dict = {}  # ScepServerSession -> entry
         self.secrets: list = []
-        self.notes: list[str] = []
 
     # -- clock --
 
@@ -212,9 +215,6 @@ class SimNetwork:
         nth = conn.msg_count[direction]
         conn.msg_count[direction] += 1
 
-        # The adversary reads everything that enters the network.
-        self.observed.append((payload.term, len(self.transcript.events)))
-
         delivered = payload
         note = ""
         for rule in self.taps:
@@ -243,7 +243,9 @@ class SimNetwork:
                             conn=conn.index, direction=direction, seq=rec_seq,
                             data=payload.data, note=note,
                             sender=sender, receiver=receiver,
-                            view=terms.render_term(payload.term))
+                            view=terms.render_term(payload.term),
+                            # the adversary reads everything entering the network
+                            term=payload.term)
         if delivered is not payload and delivered is not None:
             self.transcript.add(clock=self.clock, kind="adv", link=conn.link,
                                 conn=conn.index, direction=direction,
@@ -266,13 +268,13 @@ class SimNetwork:
         conn = self._last_conn.get(link)
         if conn is None:
             raise ScriptError(f"no live connection on {link}")
+        term = Payload.opaque(data).term
         self.transcript.add(clock=self.clock, kind="inject", link=link,
                             conn=conn.index, direction="c2s",
-                            seq=None, data=data, note="adversary injection")
-        self.observed.append((Payload.opaque(data).term,
-                              len(self.transcript.events) - 1))
+                            seq=None, data=data, note="adversary injection",
+                            term=term)
         try:
-            conn.handler.handle(data, Payload.opaque(data).term)
+            conn.handler.handle(data, term)
         except Exception as e:  # outcome recorded, not raised
             self.note(f"injection rejected: {type(e).__name__}")
 
@@ -289,9 +291,8 @@ class SimNetwork:
         conn = self.current_conn
         link = conn.link if conn else "-"
         idx = conn.index if conn else -1
-        entry = (link, idx, c_label, s_label)
-        if entry not in self.channel_registry:
-            self.channel_registry.append(entry)
+        self.record_keys[(link, idx, "c2s")] = c_label
+        self.record_keys[(link, idx, "s2c")] = s_label
         if role_name in self.corrupt:
             self.add_initial_knowledge(terms.key_atom(session.client_write),
                                        f"session key held by {role_name}")
@@ -303,38 +304,40 @@ class SimNetwork:
             {"client": client, "server": server, **scep_session.params()})
 
     def record_server_session(self, server: str, scep_session):
-        self.server_sessions.append(
-            {"server": server, "session": scep_session,
-             "honest": server not in self.corrupt,
-             "authenticated": False, "auth": None})
+        self.server_sessions[scep_session] = {
+            "server": server, "session": scep_session, "auth": None}
 
     def record_server_authenticated(self, scep_session, auth):
         """Mark the session recorded at respond time as authenticated."""
-        for entry in self.server_sessions:
-            if entry["session"] is scep_session:
-                entry["authenticated"] = True
-                entry["auth"] = auth
-                return
+        self.server_sessions[scep_session]["auth"] = auth
+
+    def honest_authenticated_sessions(self):
+        """(index, entry) of each authenticated session at an honest server.
+
+        The index counts every recorded session; corruption precedes them all.
+        """
+        for i, entry in enumerate(self.server_sessions.values()):
+            if entry["auth"] is not None and entry["server"] not in self.corrupt:
+                yield i, entry
 
     def add_secret(self, name: str, *, data: bytes = b"", label: str = ""):
         self.secrets.append({"name": name, "data": data, "label": label})
 
     def note(self, msg: str):
-        self.notes.append(msg)
         self.transcript.add(clock=self.clock, kind="note", link="-", conn=0,
                             direction="-", seq=None, data=b"", note=msg)
+
+    @property
+    def notes(self) -> list[str]:
+        return [ev.note for ev in self.transcript.events if ev.kind == "note"]
 
     # -- post-run checks --
 
     def record_key_slots(self) -> list:
         """(write-key label, direction, seq) of every record on every channel."""
-        key_of = {}
-        for link, idx, c_label, s_label in self.channel_registry:
-            key_of[(link, idx, "c2s")] = c_label
-            key_of[(link, idx, "s2c")] = s_label
         slots = []
         for ev in self.transcript.records():
-            label = key_of.get((ev.link, ev.conn, ev.direction))
+            label = self.record_keys.get((ev.link, ev.conn, ev.direction))
             if label is not None:
                 slots.append((label, ev.direction, ev.seq))
         return slots

@@ -10,7 +10,7 @@ from dnascreen.attacks import (
     attack_token_collision_dos,
 )
 from dnascreen.errors import ScriptError
-from dnascreen.scenarios import ScenarioConfig
+from dnascreen.scenarios import ScenarioConfig, agreement_assertions
 from dnascreen.scep import SCEP, SCEP_PLUS
 
 
@@ -42,6 +42,18 @@ def test_mitm_under_scep_plus_blocked():
     assert by_id(result, "victim-query-unaffected").passed
     assert by_id(result, "injective-agreement-holds").passed
     assert by_id(result, "cookie-secrecy").passed
+
+
+def test_agreement_ids_count_every_recorded_server_session():
+    # under SCEP+ the target records the relayed session at respond time and
+    # then rejects its finish; that session keeps its index in the ids
+    result = attack_mitm_rate_limit(SCEP_PLUS, seed=7)
+    net = result.world.net
+    assert [(e["server"], e["auth"] is not None)
+            for e in net.server_sessions.values()] == [
+        ("K2", False), ("K2", True), ("H", True)]
+    assert [a.id for a in agreement_assertions(result.world)] == [
+        "agreement:K2:1", "agreement:H:2"]
 
 
 def test_mitm_needs_a_second_keyserver():

@@ -131,24 +131,31 @@ INPUT_FILES = {"order": f"{CLEAN.hex()}\n",
                "bad_script": f"corrupt H mitm\nquery S {CLEAN.hex()}\n"}
 
 
-@pytest.mark.parametrize("argv", [
-    ("run", "basic", "--order", "{bad_order}"),
-    ("run", "basic", "--order", "{order}", "--hazards", "{bad_hazards}"),
-    ("run", "exemption", "--order", "{order}", "--exempt", "zz"),
-    ("run", "basic", "--order", "{order}", "--rate-limit", "-1"),
-    ("attack", "collision", "--rate-limit", "-1"),
-    ("run", "script", "--file", "{bad_script}"),
+@pytest.mark.parametrize("argv,error", [
+    (("run", "basic", "--order", "{bad_order}"), "ScriptError"),
+    (("run", "basic", "--order", "{order}", "--hazards", "{bad_hazards}"),
+     "ScriptError"),
+    (("run", "exemption", "--order", "{order}", "--exempt", "zz"),
+     "ScriptError"),
+    (("run", "basic", "--order", "{order}", "--rate-limit", "-1"),
+     "ScriptError"),
+    (("attack", "collision", "--rate-limit", "-1"), "ScriptError"),
+    (("run", "script", "--file", "{bad_script}"), "ScriptError"),
+    (("run", "basic", "--order", "{missing}"), "FileNotFoundError"),
+    (("run", "basic", "--order", "{order}", "--hazards", "{missing}"),
+     "FileNotFoundError"),
+    (("run", "script", "--file", "{missing}"), "FileNotFoundError"),
 ], ids=["order", "hazards", "exempt", "rate-limit", "attack-rate-limit",
-        "corrupt"])
-def test_bad_input_ends_in_an_outcome_line(tmp_path, capsys, argv):
-    paths = {}
+        "corrupt", "missing-order", "missing-hazards", "missing-script"])
+def test_bad_input_ends_in_an_outcome_line(tmp_path, capsys, argv, error):
+    paths = {"missing": tmp_path / "missing.txt"}
     for name, text in INPUT_FILES.items():
         paths[name] = tmp_path / f"{name}.txt"
         paths[name].write_text(text)
     code, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
     assert code == 1
-    assert out.strip().splitlines()[-1] == "OUTCOME: ERROR:ScriptError"
-    assert "ScriptError" in err
+    assert out.strip().splitlines()[-1] == f"OUTCOME: ERROR:{error}"
+    assert error in err
 
 
 def test_run_script_file(tmp_path, capsys):

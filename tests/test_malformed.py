@@ -90,6 +90,16 @@ def test_scep_rejection_reaches_the_synthesizer_typed(world):
         world.synth.basic_query(ORDER)
 
 
+def test_relayed_scep_rejection_reaches_the_synthesizer_typed():
+    # the corrupt K1 relays the hello to K2, which alone revoked the token:
+    # K2's error record travels back through K1 as the same error
+    world = build_world(ScenarioConfig(corrupt={"K1": "mitm"}), seed=31)
+    revocations = world.keyservers["K2"].scep_config.revocations
+    revocations.revoked_sigma.add(world.synth.chain.token.sigma)
+    with pytest.raises(Revoked):
+        world.synth.basic_query(ORDER)
+
+
 ERROR_CLASSES = [obj for obj in vars(errors).values()
                  if isinstance(obj, type) and issubclass(obj, ScreeningError)
                  and obj is not ScreeningError]

@@ -82,9 +82,14 @@ def test_inject_is_recorded_and_rejected():
     world = build_world(config, seed=9)
     world.synth.basic_query([CLEAN_SEQUENCES[0]])
     world.net.inject("S->H", b"\xde\xad\xbe\xef")
-    kinds = [ev.kind for ev in world.net.transcript.events]
-    assert "inject" in kinds
+    step = next(ev.step for ev in world.net.transcript.events
+                if ev.kind == "inject")
     assert any("injection rejected" in n for n in world.net.notes)
+    # the adversary's closure holds what it injected, read at that step
+    kn = build_knowledge(world.net, world.backend)
+    held = kn.holds_bytes(b"\xde\xad\xbe\xef")
+    assert held is not None
+    assert kn.items[held].rule == f"tapped at step {step}"
     with pytest.raises(ScriptError):
         world.net.inject("S->Z", b"00")
 
@@ -243,6 +248,81 @@ def test_record_slot_uniqueness_bookkeeping():
     result = scenario_honest_basic(seed=44)
     slots = result.world.net.record_key_slots()
     assert len(slots) == len(set(slots)) > 0
+
+
+@pytest.mark.parametrize("resumption", [False, True])
+def test_record_key_slots_follow_every_channel_registration(
+        monkeypatch, resumption):
+    # brute force: log every registration, keep each distinct one once in
+    # first-seen order, and let the last one for a connection direction win
+    registrations = []
+    register = SimNetwork.register_channel
+
+    def logged(net, role_name, session):
+        conn = net.current_conn
+        registrations.append((conn.link if conn else "-",
+                              conn.index if conn else -1,
+                              *session.key_labels()))
+        register(net, role_name, session)
+
+    monkeypatch.setattr(SimNetwork, "register_channel", logged)
+    config = ScenarioConfig(resumption=resumption,
+                            elt_sequences=(DEFAULT_HAZARDS[0][0],))
+    script = (f"corrupt K1 mitm\n"
+              f"query S {HAZ},{CLEAN}\n"
+              f"resume-next S\n"
+              f"query-exempt S {HAZ},{CLEAN} code=fresh\n"
+              f"advance-clock 30\n"
+              f"resume-next S\n"
+              f"query S {CLEAN}\n")
+    net = run_scenario(config, script, seed=64).world.net
+    distinct = list(dict.fromkeys(registrations))
+    key_of = {}
+    for link, idx, c_label, s_label in distinct:
+        key_of[(link, idx, "c2s")] = c_label
+        key_of[(link, idx, "s2c")] = s_label
+    expected = [(key_of[(ev.link, ev.conn, ev.direction)], ev.direction,
+                 ev.seq) for ev in net.transcript.records()
+                if (ev.link, ev.conn, ev.direction) in key_of]
+    assert len(distinct) > 10 and len(expected) > 20
+    assert net.record_key_slots() == expected
+
+
+def test_tap_replaced_message_enters_the_closure_once():
+    config = ScenarioConfig(resumption=True)
+    script = (f"swap S->H:s2c:0:r1 S->H:s2c:1:r1\n"
+              f"query S {CLEAN}\n"
+              f"resume-next S\n"
+              f"query S {HAZ}\n")
+    world = run_scenario(config, script, seed=63).world
+    events = world.net.transcript.events
+    captured = next(ev for ev in events if ev.note.startswith("captured"))
+    replaced = next(ev for ev in events if ev.note.startswith("replaced"))
+    adv = events[replaced.step + 1]
+    assert adv.kind == "adv" and adv.data == captured.data
+    # every message that entered the network is read once, at its own step;
+    # the bytes delivered in place of the original were read when captured
+    tapped = [ev.step for ev in events if ev.term is not None]
+    assert tapped == [ev.step for ev in events
+                      if ev.kind in ("hs", "record", "inject")]
+    kn = build_knowledge(world.net, world.backend)
+    rules = {item.rule for item in kn.items.values()}
+    assert f"tapped at step {adv.step}" not in rules
+    for ev in (captured, replaced):
+        assert (kn.items[terms.term_key(ev.term)].rule
+                == f"tapped at step {ev.step}")
+
+
+def test_notes_are_the_note_events_in_order():
+    script = (f"drop S->K1:c2s:0:m0\n"
+              f"query S {CLEAN}\n"
+              f"query S {CLEAN}\n"
+              f"inject S->H 00ff\n")
+    net = run_scenario(ScenarioConfig(), script, seed=10).world.net
+    assert net.notes == ["query-1 failed: MessageDropped",
+                         "injection rejected: DecodeError"]
+    assert net.notes == [ev.note for ev in net.transcript.events
+                         if ev.kind == "note"]
 
 
 def test_honest_exemption_scenario_green():

@@ -3,12 +3,17 @@
 Runs every shipped scenario (``attacks.all_scenarios()``) at seeds 1-64,
 plus one mixed ``run_scenario`` script under each resumption x
 response-binding setting, all on the ``test`` backend, and the same script
-once on ``prod`` (resumption and binding on). Prints four sha256 digests:
+once on ``prod`` (resumption and binding on), and an adversary script
+(drop, swap, replace, inject and ``corrupt H leaky``) on ``test`` with
+resumption off and on. Prints five sha256 digests:
 
   outcomes     each test-backend run's ``outcome.render()`` and token
   wire         each test-backend transcript with every ``view=`` removed
   transcripts  each full test-backend transcript
   prod         the prod run's outcome, token and full transcript
+  adversary    each adversary run's outcome, transcript, notes, agreement
+               and record-slot checks, record key slots, and every item of
+               its knowledge closure with the rule that added it
 
 Run it on two checkouts; equal digests show that a refactor kept the
 outcomes, the wire bytes and the formal views of every run:
@@ -58,6 +63,55 @@ def script_run(scenarios, backend: str, resumption: bool, bind: bool):
             f"token={result.outcome.token}", result.transcript_text)
 
 
+def adversary_script(hazards: list, clean: list) -> str:
+    """Every tap action, an injection and a leaky H, each hitting a message.
+
+    Query 1 loses its first hello to K1; query 2's hdb reply is captured and
+    replaces query 3's (the response swap when query 3 resumes); query 4's
+    hello to K2 is replaced by junk; the exemption query feeds H the code.
+    """
+    h0, h1 = hazards[0][0].hex(), hazards[1][0].hex()
+    c0, c1 = clean[0].hex(), clean[1].hex()
+    return "\n".join([
+        "corrupt H leaky",
+        "drop S->K1:c2s:0:m0",
+        "swap S->H:s2c:0:r1 S->H:s2c:1:r1",
+        f"query S {h0},{c0}",
+        f"query S {c1}",
+        "resume-next S",
+        f"query S {h1}",
+        "replace S->K2:c2s:2:m0 00ff",
+        f"query S {c1}",
+        "inject S->H 00ff",
+        "advance-clock 30",
+        "resume-next S",
+        f"query-exempt S {h0},{c1} code=fresh",
+        f"query S {c0}",
+    ])
+
+
+def adversary_runs(scenarios, closure):
+    """What the adversary paths leave behind, under resumption off and on."""
+    script = adversary_script(scenarios.DEFAULT_HAZARDS,
+                              scenarios.CLEAN_SEQUENCES)
+    for resumption in (False, True):
+        config = scenarios.ScenarioConfig(
+            resumption=resumption,
+            elt_sequences=(scenarios.DEFAULT_HAZARDS[0][0],))
+        result = scenarios.run_scenario(config, script, SCRIPT_SEED)
+        world = result.world
+        checks = [*scenarios.agreement_assertions(world),
+                  scenarios.key_slot_uniqueness_assertion(world)]
+        kn = closure.build_knowledge(world.net, world.backend)
+        yield "\n".join([
+            f"adversary:{resumption}", result.outcome.render(),
+            result.transcript_text, *world.net.notes,
+            *(f"{a.id} {a.passed} {a.evidence}" for a in checks),
+            repr(world.net.record_key_slots()),
+            *(f"{k!r} {item.rule} {item.parents!r}"
+              for k, item in kn.items.items())])
+
+
 def runs(attacks, scenarios):
     """(outcome text, transcript) of every test-backend run, in order."""
     for name, run in attacks.all_scenarios().items():
@@ -72,16 +126,18 @@ def runs(attacks, scenarios):
 
 def fingerprint(src: Path) -> dict:
     sys.path.insert(0, str(src / "src"))
-    from dnascreen import attacks, scenarios
+    from dnascreen import attacks, closure, scenarios
 
-    digests = {name: hashlib.sha256()
-               for name in ("outcomes", "wire", "transcripts", "prod")}
+    digests = {name: hashlib.sha256() for name in
+               ("outcomes", "wire", "transcripts", "prod", "adversary")}
     for outcome, transcript in runs(attacks, scenarios):
         digests["outcomes"].update(outcome.encode() + b"\0")
         digests["wire"].update(_VIEW.sub(" note=", transcript).encode() + b"\0")
         digests["transcripts"].update(transcript.encode() + b"\0")
     outcome, transcript = script_run(scenarios, "prod", True, True)
     digests["prod"].update(outcome.encode() + b"\0" + transcript.encode())
+    for text in adversary_runs(scenarios, closure):
+        digests["adversary"].update(text.encode() + b"\0")
     return {name: h.hexdigest() for name, h in digests.items()}
 
 
