@@ -110,9 +110,6 @@ class ChannelSession:
         return hashlib.sha256(b"session-id" + self.client_write
                               + self.server_write).digest()[:16]
 
-    def key_labels(self) -> tuple[str, str]:
-        return _key_label(self.client_write), _key_label(self.server_write)
-
 
 def resume_session(old: ChannelSession) -> ChannelSession:
     """Same keys, counters back to zero. Only when resumption is enabled."""

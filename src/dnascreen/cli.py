@@ -242,9 +242,14 @@ def cmd_pki(args) -> int:
         subject_key = SigningKey.generate(rng)
         ttype = args.token_type
         if ttype == pki.TOKEN_SYNTHESIZER:
+            if not 0 <= args.rate_limit <= pki.U64_MAX:
+                raise ScriptError(f"--rate-limit {args.rate_limit} not a u64")
             payload = pki.SynthesizerPayload(args.synth_id or args.name,
                                              args.rate_limit)
         elif ttype == pki.TOKEN_KEYSERVER:
+            if not 0 < args.share_index < 2 ** 32:  # 0 is the key's own point
+                raise ScriptError(f"--share-index {args.share_index} is not "
+                                  f"in 1..2^32-1")
             payload = pki.KeyserverPayload(args.share_index)
         elif ttype == pki.TOKEN_DATABASE:
             payload = pki.DatabasePayload()
@@ -265,6 +270,8 @@ def cmd_pki(args) -> int:
               f"(sigma {token.sigma.hex()})")
     elif cmd == "issue-subtoken":
         parent_chain = _read_bundle(args.parent)
+        if parent_chain.token is None:
+            raise ScriptError(f"--parent {args.parent} holds no token")
         sub_key = _read_key(args.subtoken_key)
         seqs = tuple(_hex_list(args.sequences))
         sub = pki.issue_subtoken(parent_chain.token, sub_key, seqs, rng)
@@ -310,9 +317,12 @@ def _load_hazards(path: Path | None) -> list:
 
 
 def _load_order(path: Path) -> list:
-    return [_hex(line.strip())
-            for line in path.read_text().splitlines()
-            if line.strip() and not line.startswith("#")]
+    order = [_hex(line.strip())
+             for line in path.read_text().splitlines()
+             if line.strip() and not line.startswith("#")]
+    if not order:
+        raise ScriptError(f"--order {path}: no sequences")
+    return order
 
 
 def _config_from(args, hazards, exempt=()) -> ScenarioConfig:

@@ -66,13 +66,13 @@ class Knowledge:
         changed = True
         while changed:
             changed = False
-            key_labels = self.known_keys()
+            keys = self.known_keys()
             for k, known in list(self.items.items()):
                 t = known.term
                 if isinstance(t, Cat):
                     for part in t.parts:
                         changed |= self.add(part, "split", (k,))
-                elif isinstance(t, Sealed) and t.key_label in key_labels:
+                elif isinstance(t, Sealed) and t.key_label in keys:
                     changed |= self.add(t.inner, "decrypt", (k,))
             changed |= self._exponentiate()
 

@@ -76,13 +76,14 @@ def combine(responses: list[tuple[int, GroupElement]], t: int) -> GroupElement:
     """Product of y_i^lambda_i over a t-subset; equals x^k when y_i = x^(k_i)."""
     if len(responses) != t:
         raise WrongResponseCount(f"need exactly {t} responses, got {len(responses)}")
-    indices = [i for i, _ in responses]
-    if len(set(indices)) != len(indices):
-        raise DuplicateIndex(f"duplicate keyserver index in {indices}")
     backend = responses[0][1].backend
+    # token indices are another party's input; only their residues are points
+    indices = [i % backend.q for i, _ in responses]
+    if 0 in indices or len(set(indices)) != len(indices):
+        raise DuplicateIndex(f"indices {indices} mod q: not distinct nonzero")
     lam = lagrange_at_zero(indices, backend)
     acc = backend.identity
-    for i, y in responses:
+    for i, (_, y) in zip(indices, responses):
         acc = acc.mul(y.exp(lam[i]))
     return acc
 

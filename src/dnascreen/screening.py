@@ -617,7 +617,6 @@ class SynthesizerRole:
             session = handshake_client(conn.send, server, self.channel_ca_key,
                                        self.backend, self.rng,
                                        resumption_allowed=self.config.resumption)
-        net.register_channel(self.name, session)
         scep_session = ScepClientSession(
             self.config.scep_variant, self.chain, self.signing_key,
             self.trusted_infra_root, self.rng, keyserver_extra=keyserver_extra)

@@ -7,8 +7,8 @@ seeded generator, the clock only moves when told to, and roles run strictly
 one event at a time (nested dials included).
 
 The transcript is the network's one log: the adversary's closure reads the
-terms its events keep (``Event.term``, never rendered), and notes are its
-``note`` events.
+terms its events keep (``Event.term``, never rendered), notes are its
+``note`` events, and record slots are read off each record's ``Sealed`` term.
 
 Tap selectors address messages as ``link:direction:conn:slot`` where slot is
 ``rN`` (record with wire sequence N) or ``mN`` (Nth message on that
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from . import terms
 from .channel import ChannelSession
-from .errors import MessageDropped, ScriptError
+from .errors import MessageDropped, ScreeningError, ScriptError
 from .terms import Payload
 
 CLOCK_START = 1_000_000_000
@@ -136,11 +136,7 @@ class Conn:
         delivered = self.net.transfer(self, "c2s", payload)
         if delivered is None:
             raise MessageDropped(f"message on {self.link} dropped in transit")
-        self.net._conn_stack.append(self)
-        try:
-            reply = self.handler.handle(delivered.data, delivered.term)
-        finally:
-            self.net._conn_stack.pop()
+        reply = self.handler.handle(delivered.data, delivered.term)
         if reply is None:
             return None
         back = self.net.transfer(self, "s2c", reply)
@@ -162,10 +158,8 @@ class SimNetwork:
         self.captured: dict[str, Payload] = {}
         self._conn_counts: dict[str, int] = {}
         self._last_conn: dict[str, Conn] = {}
-        self._conn_stack: list[Conn] = []
         # Adversary view and scenario bookkeeping.
         self.initial_knowledge: list = []
-        self.record_keys: dict = {}  # (link, conn, direction) -> write-key label
         self.client_sessions: list = []
         self.server_sessions: dict = {}  # ScepServerSession -> entry
         self.secrets: list = []
@@ -202,10 +196,6 @@ class SimNetwork:
         conn = Conn(self, src, dst, handler, index)
         self._last_conn[conn.link] = conn
         return conn
-
-    @property
-    def current_conn(self) -> Conn | None:
-        return self._conn_stack[-1] if self._conn_stack else None
 
     # -- transfer with taps --
 
@@ -275,7 +265,7 @@ class SimNetwork:
                             term=term)
         try:
             conn.handler.handle(data, term)
-        except Exception as e:  # outcome recorded, not raised
+        except ScreeningError as e:  # typed rejections are noted, not raised
             self.note(f"injection rejected: {type(e).__name__}")
 
     # -- adversary bookkeeping --
@@ -287,12 +277,7 @@ class SimNetwork:
         self.initial_knowledge.append((atom, why))
 
     def register_channel(self, role_name: str, session: ChannelSession):
-        c_label, s_label = session.key_labels()
-        conn = self.current_conn
-        link = conn.link if conn else "-"
-        idx = conn.index if conn else -1
-        self.record_keys[(link, idx, "c2s")] = c_label
-        self.record_keys[(link, idx, "s2c")] = s_label
+        """A corrupt role's session keys join the adversary's knowledge."""
         if role_name in self.corrupt:
             self.add_initial_knowledge(terms.key_atom(session.client_write),
                                        f"session key held by {role_name}")
@@ -334,10 +319,6 @@ class SimNetwork:
     # -- post-run checks --
 
     def record_key_slots(self) -> list:
-        """(write-key label, direction, seq) of every record on every channel."""
-        slots = []
-        for ev in self.transcript.records():
-            label = self.record_keys.get((ev.link, ev.conn, ev.direction))
-            if label is not None:
-                slots.append((label, ev.direction, ev.seq))
-        return slots
+        """(sender's write-key label, direction, seq) of every record."""
+        return [(ev.term.key_label, ev.direction, ev.seq)
+                for ev in self.transcript.records()]

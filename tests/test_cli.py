@@ -158,6 +158,43 @@ def test_bad_input_ends_in_an_outcome_line(tmp_path, capsys, argv, error):
     assert error in err
 
 
+@pytest.mark.parametrize("argv,named", [
+    (("pki", "issue-token", "--issuer", "{leaf}", "--type", "synthesizer",
+      "--name", "S1", "--rate-limit", "-1"), "--rate-limit"),
+    (("pki", "issue-token", "--issuer", "{leaf}", "--type", "synthesizer",
+      "--name", "S1", "--rate-limit", str(2 ** 64)), "--rate-limit"),
+    (("pki", "issue-token", "--issuer", "{leaf}", "--type", "keyserver",
+      "--name", "K1", "--share-index", "-1"), "--share-index"),
+    (("pki", "issue-token", "--issuer", "{leaf}", "--type", "keyserver",
+      "--name", "K1", "--share-index", "0"), "--share-index"),
+    (("pki", "issue-token", "--issuer", "{leaf}", "--type", "keyserver",
+      "--name", "K1", "--share-index", str(2 ** 32)), "--share-index"),
+    (("pki", "issue-subtoken", "--parent", "{leaf}", "--subtoken-key",
+      "{leaf}.key", "--sequences", CLEAN.hex()), "--parent"),
+    (("run", "basic", "--order", "{empty}"), "empty.txt"),
+], ids=["rate-limit-negative", "rate-limit-over-u64", "share-index-negative",
+        "share-index-zero", "share-index-over-u32",
+        "subtoken-parent-without-token", "empty-order"])
+def test_bad_input_error_names_the_flag_or_file(tmp_path, capsys, argv,
+                                                named):
+    paths = {"leaf": tmp_path / "leaf", "empty": tmp_path / "empty.txt"}
+    paths["empty"].write_text("# no sequences\n")
+    root, inter = tmp_path / "root", tmp_path / "inter"
+    run_cli(capsys, "pki", "create-root", "--type", "manufacturer",
+            "--name", "F", "--out", str(root))
+    run_cli(capsys, "pki", "issue-cert", "--issuer", str(root), "--level",
+            "intermediate", "--name", "MI", "--out", str(inter))
+    run_cli(capsys, "pki", "issue-cert", "--issuer", str(inter), "--level",
+            "leaf", "--name", "ML", "--out", str(paths["leaf"]))
+    argv = [a.format(**paths) for a in argv]
+    if argv[0] == "pki":
+        argv += ["--out", str(tmp_path / "out")]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out.strip().splitlines()[-1] == "OUTCOME: ERROR:ScriptError"
+    assert "ScriptError" in err and named in err
+
+
 def test_run_script_file(tmp_path, capsys):
     script = tmp_path / "scenario.txt"
     script.write_text(f"query S {CLEAN.hex()}\n"

@@ -140,6 +140,20 @@ def test_combine_rejects_bad_inputs():
         combine([(1, B.element(2)), (1, B.element(4))], 2)
 
 
+@pytest.mark.parametrize("indices", [(1, 12), (0, 2), (11, 2)],
+                         ids=["equal-mod-q", "zero", "zero-mod-q"])
+def test_combine_rejects_indices_that_are_not_distinct_nonzero_mod_q(indices):
+    # a token's share index is another party's input, and only its residue
+    # mod q (11 on the test group) is a point of the sharing
+    with pytest.raises(DuplicateIndex):
+        combine([(indices[0], B.element(2)), (indices[1], B.element(18))], 2)
+
+
+def test_combine_reads_indices_mod_q():
+    # index 13 is the point 2 of the worked example
+    assert combine([(1, B.element(2)), (13, B.element(18))], 2).value == 13
+
+
 def test_doprf_direct_trivial_keys():
     assert doprf_direct(b"seq", s(1)) == hash_to_group(b"seq", B)
     assert doprf_direct(b"seq", s(0)).is_identity()

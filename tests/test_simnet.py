@@ -5,7 +5,7 @@ import weakref
 
 import pytest
 
-from dnascreen import attacks, terms
+from dnascreen import attacks, channel, scep, screening, terms
 from dnascreen.closure import Knowledge, build_knowledge, secrecy_probe
 from dnascreen.crypto import TEST_BACKEND, aead_seal
 from dnascreen.errors import ScriptError
@@ -14,6 +14,7 @@ from dnascreen.scenarios import (
     DEFAULT_HAZARDS,
     ScenarioConfig,
     build_world,
+    key_slot_uniqueness_assertion,
     run_scenario,
     scenario_honest_basic,
     scenario_honest_exemption,
@@ -92,6 +93,24 @@ def test_inject_is_recorded_and_rejected():
     assert kn.items[held].rule == f"tapped at step {step}"
     with pytest.raises(ScriptError):
         world.net.inject("S->Z", b"00")
+
+
+def test_inject_raises_an_untyped_server_failure():
+    class Broken:
+        name = "Z"
+
+        def open_connection(self):
+            return self
+
+        def handle(self, data, term):
+            raise ValueError("not a typed rejection")
+
+    net = SimNetwork(seed=1)
+    net.register_role(Broken())
+    net.dial("S", "Z")
+    with pytest.raises(ValueError):
+        net.inject("S->Z", b"\x00")
+    assert not net.notes
 
 
 def test_swap_tap_replaces_bytes():
@@ -251,21 +270,18 @@ def test_record_slot_uniqueness_bookkeeping():
 
 
 @pytest.mark.parametrize("resumption", [False, True])
-def test_record_key_slots_follow_every_channel_registration(
-        monkeypatch, resumption):
-    # brute force: log every registration, keep each distinct one once in
-    # first-seen order, and let the last one for a connection direction win
-    registrations = []
-    register = SimNetwork.register_channel
+def test_record_key_slots_are_each_senders_write_key(monkeypatch, resumption):
+    # oracle: log each record frame with its sender's write key as it is sealed
+    sent = {}
+    original_send = channel.channel_send
 
-    def logged(net, role_name, session):
-        conn = net.current_conn
-        registrations.append((conn.link if conn else "-",
-                              conn.index if conn else -1,
-                              *session.key_labels()))
-        register(net, role_name, session)
+    def logged_send(session, payload):
+        record = original_send(session, payload)
+        sent[record.data] = channel._key_label(session.send_key)
+        return record
 
-    monkeypatch.setattr(SimNetwork, "register_channel", logged)
+    for mod in (channel, screening, scep, attacks):
+        monkeypatch.setattr(mod, "channel_send", logged_send)
     config = ScenarioConfig(resumption=resumption,
                             elt_sequences=(DEFAULT_HAZARDS[0][0],))
     script = (f"corrupt K1 mitm\n"
@@ -276,16 +292,33 @@ def test_record_key_slots_follow_every_channel_registration(
               f"resume-next S\n"
               f"query S {CLEAN}\n")
     net = run_scenario(config, script, seed=64).world.net
-    distinct = list(dict.fromkeys(registrations))
-    key_of = {}
-    for link, idx, c_label, s_label in distinct:
-        key_of[(link, idx, "c2s")] = c_label
-        key_of[(link, idx, "s2c")] = s_label
-    expected = [(key_of[(ev.link, ev.conn, ev.direction)], ev.direction,
-                 ev.seq) for ev in net.transcript.records()
-                if (ev.link, ev.conn, ev.direction) in key_of]
-    assert len(distinct) > 10 and len(expected) > 20
-    assert net.record_key_slots() == expected
+    records = net.transcript.records()
+    assert len(records) > 20 and all(ev.data in sent for ev in records)
+    assert net.record_key_slots() == [
+        (sent[ev.data], ev.direction, ev.seq) for ev in records]
+
+
+@pytest.mark.parametrize("script", [
+    f"query-exempt S {HAZ},{CLEAN} code=fresh",  # H dials A while serving S
+    f"corrupt K1 mitm\nquery S {HAZ},{CLEAN}",  # K1 dials K2 while serving S
+], ids=["auth-check", "mitm-relay"])
+def test_nested_dials_keep_record_slots_unique(script):
+    config = ScenarioConfig(elt_sequences=(DEFAULT_HAZARDS[0][0],))
+    world = run_scenario(config, script, seed=1).world
+    check = key_slot_uniqueness_assertion(world)
+    assert check.passed, check.evidence
+
+
+@pytest.mark.parametrize("name,unique", [
+    ("honest-exemption-scep", True), ("honest-exemption-scep-plus", True),
+    ("mitm-scep", True), ("mitm-scep-plus", True), ("passcode-replay", True),
+    # a resumed session really does reuse its slots
+    ("swap-on-off", False), ("swap-on-on", False)])
+def test_record_slot_uniqueness_over_shipped_scenarios(name, unique):
+    run = attacks.all_scenarios()[name]
+    for seed in range(1, 5):
+        check = key_slot_uniqueness_assertion(run(seed).world)
+        assert check.passed == unique, (seed, check.evidence)
 
 
 def test_tap_replaced_message_enters_the_closure_once():
