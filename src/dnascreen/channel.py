@@ -20,6 +20,7 @@ from . import terms, wire
 from .crypto import (
     FIN_SEQ,
     GroupBackend,
+    GroupElement,
     SigningKey,
     VerifyKey,
     aead_open,
@@ -123,6 +124,18 @@ def resume_session(old: ChannelSession) -> ChannelSession:
     )
 
 
+def _decode_share(backend: GroupBackend, b: bytes) -> GroupElement:
+    """The peer's DH share: a subgroup element other than the identity.
+
+    An identity share fixes the premaster secret whatever our own secret
+    is (SP 800-56A Rev. 3 section 5.6.2.3.1, RFC 7919 section 5.1).
+    """
+    share = backend.decode_element(b)
+    if share.is_identity():
+        raise DecodeError("DH share is the identity")
+    return share
+
+
 def _derive_write_key(pms: bytes, r_c: bytes, r_s: bytes, label: bytes) -> bytes:
     return wire.digest_fields(label, pms, r_c, r_s)
 
@@ -177,7 +190,7 @@ class ClientHandshake:
         self.backend = backend
         self.resumption_allowed = resumption_allowed
         self.r_c = rng.randbytes(32)
-        self.e_c = backend.random_nonzero_scalar(rng)
+        self.e_c = backend.random_dh_secret(rng)
         self._flight2 = None
         self._session = None
         self._pms = None
@@ -200,7 +213,7 @@ class ClientHandshake:
         ske_msg = wire.pack_fields(b"key-exchange", self.r_c, r_s, ske_pub_b)
         if not ident.verify_key.verify(ske_msg, ske_sig):
             raise BadKeyExchangeSig("server key-exchange signature invalid")
-        server_pub = self.backend.decode_element(ske_pub_b)
+        server_pub = _decode_share(self.backend, ske_pub_b)
 
         self._flight2 = flight2
         pms = server_pub.exp(self.e_c).encode()
@@ -258,7 +271,7 @@ class ServerHandshake:
             raise DecodeError("expected client hello")
         self._r_c = r_c
         self.r_s = self.rng.randbytes(32)
-        self.e_s = self.backend.random_nonzero_scalar(self.rng)
+        self.e_s = self.backend.random_dh_secret(self.rng)
         ske_pub = self.backend.generator.exp(self.e_s).encode()
         ske_sig = self.static_key.sign(
             wire.pack_fields(b"key-exchange", r_c, self.r_s, ske_pub))
@@ -273,7 +286,7 @@ class ServerHandshake:
         tag, client_pub_b, c_fin = wire.expect_fields(flight3, 3)
         if tag != b"client-kex":
             raise DecodeError("expected client key exchange")
-        client_pub = self.backend.decode_element(client_pub_b)
+        client_pub = _decode_share(self.backend, client_pub_b)
         pms = client_pub.exp(self.e_s).encode()
         c_write = _derive_write_key(pms, self._r_c, self.r_s, b"client-write")
         s_write = _derive_write_key(pms, self._r_c, self.r_s, b"server-write")

@@ -366,10 +366,11 @@ def cmd_run(args) -> int:
                   f"code={args.code}")
     result = run_scenario(config, script, args.seed,
                           name=f"run-{args.run_command}")
-    world = result.world
-    exempt_seqs = tuple(config.elt_sequences)
-    verdict = world.oracle(order, exempt_seqs)
-    for seq, v in zip(order, verdict.verdicts):
+    got = result.replies[0]
+    if isinstance(got, ScreeningError):  # refused: no verdict to print
+        _emit(result, args.out, stdout_transcript=True)
+        raise got
+    for seq, v in zip(order, got.verdicts):
         if v.flag == HIT:
             print(f"DENY seq={seq.hex()} hazard={v.hazard_name} "
                   f"reason={v.reason}")
@@ -381,7 +382,7 @@ def cmd_run(args) -> int:
     if not result.outcome.ok:
         print("OUTCOME: ASSERTION_FAILED")
         return 1
-    print(f"OUTCOME: {verdict.overall.upper()}")
+    print(f"OUTCOME: {got.overall.upper()}")
     return 0
 
 

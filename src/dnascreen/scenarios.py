@@ -102,6 +102,9 @@ class ScenarioResult:
     world: "World"
     outcome: ScenarioOutcome
     transcript_text: str
+    # what each script query got, in order: a QueryResponse or the
+    # ScreeningError it raised
+    replies: list = field(default_factory=list)
 
 
 class World:
@@ -397,6 +400,7 @@ def run_scenario(config: ScenarioConfig, script: str, seed: int,
 
     world = build_world(config, seed)
     assertions = []
+    replies = []
     resume_next = set()
     query_no = 0
 
@@ -453,12 +457,15 @@ def run_scenario(config: ScenarioConfig, script: str, seed: int,
                         order, world.elt_chain, code, resume_hdb=resume)
                 try:
                     got = runner()
+                    replies.append(got)
                     assertions.append(Assertion(
                         f"{qid}-matches-oracle",
                         got.overall == expected.overall
                         and got.verdicts == expected.verdicts,
                         f"got {got.overall}, oracle says {expected.overall}"))
                 except ScreeningError as err:
+                    # its traceback holds this frame, which holds `replies`
+                    replies.append(err.with_traceback(None))
                     world.net.note(f"{qid} failed: {type(err).__name__}")
                     assertions.append(Assertion(
                         f"{qid}-matches-oracle", False,
@@ -473,7 +480,7 @@ def run_scenario(config: ScenarioConfig, script: str, seed: int,
     assertions += secrecy_assertions(world)
     outcome = ScenarioOutcome(name, assertions)
     return ScenarioResult(name, world, outcome,
-                          world.net.transcript.render())
+                          world.net.transcript.render(), replies)
 
 
 # --- honest scenarios ---------------------------------------------------------

@@ -14,11 +14,20 @@ from dnascreen.channel import (
     issue_tls_identity,
     resume_session,
 )
-from dnascreen.crypto import TEST_BACKEND, SigningKey
+from dnascreen.crypto import (
+    FIN_SEQ,
+    TEST_BACKEND,
+    GroupBackend,
+    SigningKey,
+    aead_seal,
+    get_backend,
+    prod_backend,
+)
 from dnascreen.errors import (
     AuthenticationFailure,
     BadKeyExchangeSig,
     BadServerCert,
+    DecodeError,
     FinishedMismatch,
     ResumptionDisabled,
 )
@@ -78,6 +87,67 @@ def test_adversary_with_own_ca_identity_completes(world):
     client, server = handshake_pair("K-evil", ca.verify_key, evil_ident,
                                     evil_static, B, rng)
     assert client.client_write == server.client_write
+
+
+@pytest.mark.parametrize("name", ["test", "prod"])
+def test_server_rejects_identity_client_share(world, name):
+    # with client_pub = 1 the premaster secret is encode(1) whatever e_s is,
+    # so the sender could seal a valid finished and know every session key
+    G = get_backend(name)
+    rng, ca, ident, static = world
+    server = ServerHandshake(ident, static, G, rng)
+    r_c = rng.randbytes(32)
+    flight2 = server.receive_client_hello(
+        wire.pack_fields(b"client-hello", r_c)).data
+    r_s = wire.expect_fields(flight2, 5)[1]
+    pms = G.identity.encode()
+    c_write = wire.digest_fields(b"client-write", pms, r_c, r_s)
+    c_fin = aead_seal(c_write, FIN_SEQ,
+                      wire.digest_fields(pms, b"client-fin", r_c, flight2))
+    with pytest.raises(DecodeError):
+        server.receive_client_kex(
+            wire.pack_fields(b"client-kex", pms, c_fin))
+    assert server.session is None
+
+
+@pytest.mark.parametrize("name", ["test", "prod"])
+def test_client_rejects_signed_identity_server_share(world, name):
+    # the server's own static key signs an identity share
+    G = get_backend(name)
+    rng, ca, ident, static = world
+    hs = ClientHandshake("H", ca.verify_key, G, rng)
+    r_c = wire.expect_fields(hs.client_hello().data, 2)[1]
+    r_s = rng.randbytes(32)
+    share = G.identity.encode()
+    sig = static.sign(wire.pack_fields(b"key-exchange", r_c, r_s, share))
+    flight2 = wire.pack_fields(b"server-hello", r_s, ident.encode(), share, sig)
+    with pytest.raises(DecodeError):
+        hs.receive_server_flight(flight2)
+
+
+def test_prod_handshake_draws_short_secrets_and_powers_them_on_openssl(
+        world, monkeypatch):
+    P = prod_backend()
+    powered = []
+    real = GroupBackend._openssl_pow
+
+    def spy(backend, x, k):
+        powered.append(k)
+        return real(backend, x, k)
+
+    monkeypatch.setattr(GroupBackend, "_openssl_pow", spy)
+    rng, ca, ident, static = world
+    server = ServerHandshake(ident, static, P, rng)
+    hs = ClientHandshake("H", ca.verify_key, P, rng)
+    flight2 = server.receive_client_hello(hs.client_hello().data).data
+    flight4 = server.receive_client_kex(hs.receive_server_flight(flight2).data)
+    client = hs.receive_server_finished(flight4.data)
+    e_c, e_s = hs.e_c.value, server.e_s.value
+    assert all(1 <= e < 2 ** 275 for e in (e_c, e_s))
+    assert client.client_write == server.session.client_write
+    assert client.server_write == server.session.server_write
+    # each side raises g and the peer's share to its own secret
+    assert sorted(powered) == sorted([e_c, e_c, e_s, e_s])
 
 
 def test_tampered_finished_detected(world):

@@ -112,6 +112,24 @@ def test_run_on_prod_backend(tmp_path, capsys, argv, verdict_line, outcome):
     assert out.strip().endswith(outcome)
 
 
+@pytest.mark.parametrize("argv,error", [
+    (("run", "basic", "--rate-limit", "0"), "RateLimited"),
+    (("run", "exemption", "--exempt", HAZARD.hex(), "--code", "abc"),
+     "AuthBackendRejected"),
+], ids=["rate-limited", "bad-code"])
+def test_refused_query_prints_no_verdict_lines(tmp_path, capsys, argv, error):
+    order = tmp_path / "order.txt"
+    order.write_text(f"{HAZARD.hex()}\n")
+    code, out, err = run_cli(capsys, *argv, "--order", str(order),
+                             "--out", str(tmp_path / "t.log"))
+    assert code == 1
+    lines = out.strip().splitlines()
+    assert lines[-1] == f"OUTCOME: ERROR:{error}"
+    assert not [line for line in lines if line.split(" ")[0]
+                in ("CLEAR", "DENY", "EXEMPT")]
+    assert error in err
+
+
 def test_run_custom_hazard_file(tmp_path, capsys):
     hazards = tmp_path / "hz.txt"
     seq = b"CCCCAAAATTTTGGGG"

@@ -206,6 +206,23 @@ def test_prod_exp_identity_cases_never_reach_openssl(monkeypatch):
     assert calls == []
 
 
+def test_test_backend_dh_secret_is_the_nonzero_scalar_draw():
+    # q < 2^275 on the test group, so the handshake's draws are unchanged
+    r1, r2 = random.Random(16), random.Random(16)
+    drawn = [B.random_dh_secret(r1) for _ in range(2000)]
+    assert drawn == [B.random_nonzero_scalar(r2) for _ in range(2000)]
+    assert r1.getstate() == r2.getstate()
+    assert {s.value for s in drawn} == set(range(1, B.q))
+
+
+def test_prod_dh_secrets_are_short_and_nonzero():
+    P = prod_backend()
+    rng = random.Random(17)
+    drawn = [P.random_dh_secret(rng).value for _ in range(200)]
+    assert all(1 <= e < 2 ** 275 for e in drawn)
+    assert max(drawn).bit_length() == 275
+
+
 def test_sign_verify_roundtrip_tamper_wrongkey():
     rng = random.Random(1)
     sk = SigningKey.generate(rng)
