@@ -10,9 +10,18 @@ optional sub-token issuing key.
 Chains are transmitted leaf-first, root-last. Root trust is byte-equality
 against a pinned root. Timestamps are integer seconds of simulated time and
 validity is the closed interval [start, end].
+
+Signatures are checked over the bytes that arrived, as X.509 checks them
+over the received tbsCertificate (RFC 5280 4.1.1.3): ``decode`` keeps the
+signed portion it split off, and validation verifies over those bytes
+instead of re-packing the parsed fields. Issued certificates and tokens keep
+the bytes they were signed over, and a chain packs its encoding once. The
+kept bytes sit outside the dataclass fields, so ``dataclasses.replace``
+builds an object that packs again; equality and hashing stay field-based.
 """
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from . import wire
 from .crypto import SigningKey, VerifyKey
@@ -24,6 +33,7 @@ from .errors import (
     NoSubtokenKey,
     NotASubset,
     Revoked,
+    ScreeningError,
     TypeMismatch,
     UntrustedRoot,
 )
@@ -99,8 +109,27 @@ class CertDescription:
         return cls(wire.unpack_u32(v), wire.unpack_str(ct), wire.unpack_str(lv))
 
 
+class _Signed:
+    """A certificate or token: signed fields plus ``signature`` over them.
+
+    ``_tbs`` is the signed portion, packed from the fields on first use
+    unless decode or issuance kept the bytes it parsed or signed.
+    """
+
+    def signed_portion(self) -> bytes:
+        return self._tbs
+
+    def encode(self) -> bytes:
+        return wire.pack_fields(self._tbs, self.signature)
+
+    def _keeping(self, tbs: bytes):
+        """This object with ``tbs`` kept as its signed portion."""
+        self.__dict__["_tbs"] = tbs
+        return self
+
+
 @dataclass(frozen=True)
-class Certificate:
+class Certificate(_Signed):
     subject_id: Identity
     desc: CertDescription
     sigma: bytes
@@ -111,7 +140,8 @@ class Certificate:
     valid_end: int
     signature: bytes
 
-    def signed_portion(self) -> bytes:
+    @cached_property
+    def _tbs(self) -> bytes:
         return wire.pack_fields(
             b"certificate",
             self.subject_id.encode(),
@@ -123,9 +153,6 @@ class Certificate:
             wire.pack_u64(self.valid_start),
             wire.pack_u64(self.valid_end),
         )
-
-    def encode(self) -> bytes:
-        return wire.pack_fields(self.signed_portion(), self.signature)
 
     @classmethod
     def decode(cls, b: bytes) -> "Certificate":
@@ -145,7 +172,7 @@ class Certificate:
             valid_start=wire.unpack_u64(fields[7]),
             valid_end=wire.unpack_u64(fields[8]),
             signature=sig,
-        )
+        )._keeping(signed)
 
 
 # --- token payloads ---------------------------------------------------------
@@ -220,7 +247,7 @@ def _decode_payload(token_type: str, b: bytes):
 
 
 @dataclass(frozen=True)
-class Token:
+class Token(_Signed):
     token_type: str
     payload: object
     sigma: bytes
@@ -232,7 +259,8 @@ class Token:
     valid_end: int
     signature: bytes
 
-    def signed_portion(self) -> bytes:
+    @cached_property
+    def _tbs(self) -> bytes:
         return wire.pack_fields(
             b"token",
             wire.pack_str(self.token_type),
@@ -245,9 +273,6 @@ class Token:
             wire.pack_u64(self.valid_start),
             wire.pack_u64(self.valid_end),
         )
-
-    def encode(self) -> bytes:
-        return wire.pack_fields(self.signed_portion(), self.signature)
 
     @classmethod
     def decode(cls, b: bytes) -> "Token":
@@ -269,7 +294,7 @@ class Token:
             valid_start=wire.unpack_u64(fields[8]),
             valid_end=wire.unpack_u64(fields[9]),
             signature=sig,
-        )
+        )._keeping(signed)
 
 
 @dataclass(frozen=True)
@@ -278,7 +303,8 @@ class CertChain:
 
     ``ancestors`` holds intermediate exemption tokens when ``token`` is a
     sub-token: token -> ancestors[0] -> ... -> path[0] (issuing leaf).
-    A bare path with token=None validates certificates only.
+    A bare path with token=None validates certificates only. The encoding
+    is packed on first use and kept, so an issued chain packs it once.
     """
 
     path: tuple
@@ -286,6 +312,10 @@ class CertChain:
     ancestors: tuple = ()
 
     def encode(self) -> bytes:
+        return self._encoded
+
+    @cached_property
+    def _encoded(self) -> bytes:
         return wire.pack_fields(
             self.token.encode() if self.token else b"",
             wire.pack_fields(*(t.encode() for t in self.ancestors)),
@@ -378,7 +408,8 @@ def _make_cert(subject_id, subject_key, issuer_id, issuer_key, desc,
 
 def _signed(unsigned, key: SigningKey):
     """A certificate or token with its signed portion signed by ``key``."""
-    return replace(unsigned, signature=key.sign(unsigned.signed_portion()))
+    tbs = unsigned.signed_portion()
+    return replace(unsigned, signature=key.sign(tbs))._keeping(tbs)
 
 
 def issue_token(issuing_leaf: Certificate, leaf_key: SigningKey,
@@ -436,7 +467,9 @@ def validate_chain(chain: CertChain, trusted_root: Certificate, now: int,
     """
     if not chain.path:
         raise UntrustedRoot("empty certificate path")
-    if chain.root.encode() != trusted_root.encode():
+    root = chain.root
+    if (root.signature != trusted_root.signature
+            or root.signed_portion() != trusted_root.signed_portion()):
         raise UntrustedRoot("root does not match the pinned trust anchor")
 
     n_tokens = (1 if chain.token else 0) + len(chain.ancestors)
@@ -513,7 +546,7 @@ def chain_is_valid(chain: CertChain, trusted_root: Certificate, now: int,
     try:
         validate_chain(chain, trusted_root, now, revocations)
         return True
-    except Exception:
+    except ScreeningError:
         return False
 
 

@@ -16,6 +16,7 @@ The variant is scenario configuration, never negotiated on the wire: peers
 configured differently fail with BadServerSig / BadClientSig.
 """
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from . import terms, wire
@@ -29,6 +30,7 @@ from .errors import (
     BadServerSig,
     DecodeError,
     Revoked,
+    ScreeningError,
 )
 from .pki import (
     TOKEN_SYNTHESIZER,
@@ -128,6 +130,8 @@ class ScepClientSession:
         self.r_w = None
         self.cookie = None
         self.server_chain = None
+        self.client_token = None  # token encodings both mutauth hashes cover
+        self.server_token = None
         self.state = STATE_INIT
 
     def hello(self, channel: ChannelSession) -> Payload:
@@ -141,7 +145,7 @@ class ScepClientSession:
         try:
             validate_chain(server_chain, self.trusted_infra_root, now,
                            self.revocations)
-        except Exception as e:
+        except ScreeningError as e:
             self.state = STATE_FAILED
             raise BadServerChain(f"server chain rejected: {e}") from None
         if server_chain.token is None:
@@ -156,18 +160,20 @@ class ScepClientSession:
             raise BadServerChain(
                 f"server token names {server_chain.token.subject_id.name!r} "
                 f"but the channel authenticates {peer!r}")
+        client_token = self.chain.token.encode()
+        server_token = server_chain.token.encode()
         expected = mutauth_hash(self.variant, b"server-mutauth", self.r_s, r_w,
-                                omega, self.chain.token.encode(),
-                                server_chain.token.encode())
+                                omega, client_token, server_token)
         if not server_chain.token.subject_key.verify(expected, sig):
             self.state = STATE_FAILED
             raise BadServerSig("server mutauth signature invalid")
         self.r_w = r_w
         self.cookie = omega
         self.server_chain = server_chain
+        self.client_token, self.server_token = client_token, server_token
         client_sig = self.signing_key.sign(
             mutauth_hash(self.variant, b"client-mutauth", self.r_s, r_w, omega,
-                         self.chain.token.encode(), server_chain.token.encode()))
+                         client_token, server_token))
         self.state = STATE_FINISHED
         return channel_send(channel, encode_finish(omega, client_sig))
 
@@ -177,9 +183,8 @@ class ScepClientSession:
             "r_s": self.r_s,
             "r_w": self.r_w,
             "omega": self.cookie,
-            "client_token": self.chain.token.encode(),
-            "server_token": (self.server_chain.token.encode()
-                             if self.server_chain else None),
+            "client_token": self.client_token,
+            "server_token": self.server_token,
         }
 
 
@@ -201,6 +206,7 @@ class ScepServerSession:
         self.r_w = None
         self.omega = None
         self.client_chain = None
+        self.client_hash = None  # what the client's finish must sign
         self.state = STATE_INIT
 
     def respond(self, hello_plain: bytes, channel: ChannelSession, rng,
@@ -212,7 +218,7 @@ class ScepServerSession:
         except Revoked:
             self.state = STATE_FAILED
             raise
-        except Exception as e:
+        except ScreeningError as e:
             self.state = STATE_FAILED
             raise BadClientChain(f"client chain rejected: {e}") from None
         if client_chain.token is None:
@@ -223,10 +229,16 @@ class ScepServerSession:
         self.r_w = rng.randbytes(NONCE_SIZE)
         # The cookie is issued exactly once per session.
         self.omega = rng.randbytes(COOKIE_SIZE)
+        client_token = client_chain.token.encode()
+        server_token = self.config.chain.token.encode()
+        variant = self.config.variant
         sig = self.config.signing_key.sign(
-            mutauth_hash(self.config.variant, b"server-mutauth", r_s, self.r_w,
-                         self.omega, client_chain.token.encode(),
-                         self.config.chain.token.encode()))
+            mutauth_hash(variant, b"server-mutauth", r_s, self.r_w,
+                         self.omega, client_token, server_token))
+        # every input of the client's hash is fixed once the cookie is drawn
+        self.client_hash = mutauth_hash(variant, b"client-mutauth", r_s,
+                                        self.r_w, self.omega, client_token,
+                                        server_token)
         self.state = STATE_RESPONDED
         return channel_send(channel,
                             encode_respond(self.omega, self.r_w,
@@ -240,10 +252,7 @@ class ScepServerSession:
             self.state = STATE_FAILED
             raise BadCookie("cookie echo does not match")
         token = self.client_chain.token
-        expected = mutauth_hash(self.config.variant, b"client-mutauth",
-                                self.r_s, self.r_w, self.omega,
-                                token.encode(), self.config.chain.token.encode())
-        if not token.subject_key.verify(expected, sig):
+        if not token.subject_key.verify(self.client_hash, sig):
             self.state = STATE_FAILED
             raise BadClientSig("client mutauth signature invalid")
         self.state = STATE_FINISHED
@@ -269,27 +278,37 @@ WINDOW_SECONDS = 24 * 3600
 
 
 class RateLimitLedger:
-    """Per-sigma record of (timestamp, sequence_count), non-decreasing in time.
+    """Per-sigma window of (timestamp, sequence_count), non-decreasing in time.
 
-    Entries older than the sliding window are pruned on access; the
+    Each sigma keeps a deque of its entries and a running total of their
+    counts. ``window_total`` pops the entries that fell out of the sliding
+    window from the left and subtracts them; ``record`` appends and adds. So
+    a check costs the entries it prunes, not a rescan of the window. The
     brute-force oracle in the tests keeps the full history instead and must
     agree decision-for-decision.
     """
 
     def __init__(self):
-        self.entries: dict[bytes, list[tuple[int, int]]] = {}
+        self.entries: dict[bytes, deque[tuple[int, int]]] = {}
+        self.totals: dict[bytes, int] = {}
 
     def window_total(self, sigma: bytes, now: int) -> int:
+        entries = self.entries.get(sigma)
+        if not entries:
+            return 0
         cutoff = now - WINDOW_SECONDS
-        kept = [(ts, c) for ts, c in self.entries.get(sigma, []) if ts >= cutoff]
-        self.entries[sigma] = kept
-        return sum(c for _, c in kept)
+        total = self.totals[sigma]
+        while entries and entries[0][0] < cutoff:
+            total -= entries.popleft()[1]
+        self.totals[sigma] = total
+        return total
 
     def record(self, sigma: bytes, now: int, count: int):
-        history = self.entries.setdefault(sigma, [])
-        if history and now < history[-1][0]:
+        entries = self.entries.setdefault(sigma, deque())
+        if entries and now < entries[-1][0]:
             raise ValueError("ledger timestamps must be non-decreasing")
-        history.append((now, count))
+        entries.append((now, count))
+        self.totals[sigma] = self.totals.get(sigma, 0) + count
 
 
 def rate_limit_check(ledger: RateLimitLedger, sigma: bytes,

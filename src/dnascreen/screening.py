@@ -231,7 +231,7 @@ def hdb_lookup(db: HazardDb, request: QueryRequest, ledger: RateLimitLedger,
                 raise BadEltChain("chain does not carry an exemption token")
         except BadEltChain:
             raise
-        except Exception as e:
+        except ScreeningError as e:
             raise BadEltChain(f"exemption chain rejected: {e}") from None
         if auth_check is None:
             raise AuthBackendRejected("no authentication backend reachable")

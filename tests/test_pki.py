@@ -1,12 +1,17 @@
 """Certificate hierarchies, tokens, chain validation, revocation."""
 
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dnascreen import pki
 from dnascreen.crypto import SigningKey
 from dnascreen.errors import (
+    BadSignature,
+    DecodeError,
     Expired,
     LevelViolation,
     NoSubtokenKey,
@@ -305,3 +310,125 @@ def test_dump_text_mentions_fields(rng):
     text = pki.dump_text(pki.CertChain(path=(leaf, inter, root), token=tok))
     assert "rate_limit: 100" in text
     assert f"sigma: {tok.sigma.hex()}" in text
+
+
+# --- kept bytes --------------------------------------------------------------
+# Decode keeps the signed portion it parsed and issuance the one it signed;
+# validation verifies over those bytes. They must equal a fresh re-pack of
+# the fields, and ``dataclasses.replace`` must not carry them over.
+
+
+def _sample_chains():
+    """A token chain, a bare path and a depth-2 sub-token chain, all issued."""
+    rng = random.Random(7)
+    root, _, inter, _, leaf, leaf_key = build_hierarchy(rng)
+    tok, _ = synth_token(rng, leaf, leaf_key)
+    e_root, e_inter, e_leaf, e_tok, sub_key = exemption_setup(rng)
+    sub1 = pki.issue_subtoken(e_tok, sub_key, e_tok.payload.sequences[:2],
+                              rng)
+    sub2 = pki.issue_subtoken(sub1, sub_key, sub1.payload.sequences[:1], rng)
+    return [
+        (pki.CertChain(path=(leaf, inter, root), token=tok), root),
+        (pki.CertChain(path=(inter, root)), root),
+        (pki.CertChain(path=(e_leaf, e_inter, e_root), token=sub2,
+                       ancestors=(sub1, e_tok)), e_root),
+    ]
+
+
+SAMPLES = _sample_chains()
+
+
+def _signed_objects(chain):
+    """(depth, object) of every token and certificate in the chain."""
+    tokens = [chain.token, *chain.ancestors] if chain.token else []
+    return list(enumerate(tokens + list(chain.path)))
+
+
+# multi-byte UTF-8 included; a fixed alphabet needs no Unicode tables
+_CHARS = "aZ0 .-_@\x00\xe9\xdf\u20ac\u4e2d\U0001f600"
+_mutation = st.tuples(st.sampled_from(["flip", "cut", "insert"]),
+                      st.integers(min_value=0), st.integers(1, 255))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.sampled_from(range(len(SAMPLES))), st.lists(_mutation, max_size=3))
+def test_decoded_bytes_equal_repack(which, mutations):
+    """Every input that decodes keeps exactly what its fields re-pack to."""
+    blob = bytearray(SAMPLES[which][0].encode())
+    for kind, pos, byte in mutations:
+        pos %= len(blob) + 1
+        if kind == "flip" and pos < len(blob):
+            blob[pos] ^= byte
+        elif kind == "cut":
+            del blob[pos:pos + byte % 8 + 1]
+        elif kind == "insert":
+            blob[pos:pos] = bytes([byte])
+    blob = bytes(blob)
+    try:
+        chain = pki.CertChain.decode(blob)
+    except DecodeError:
+        return
+    for _, obj in _signed_objects(chain):
+        assert obj.signed_portion() == replace(obj).signed_portion()
+    assert chain.encode() == blob
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.text(_CHARS, min_size=1, max_size=12),
+       st.text(_CHARS, max_size=12), st.integers(0, 2 ** 64 - 1),
+       st.lists(st.binary(max_size=6), max_size=4))
+def test_issued_bytes_survive_decode(name, email, mu, seqs):
+    """Issued objects keep what they signed; decoding gives it back."""
+    rng = random.Random(11)
+    root, _, inter, _, leaf, leaf_key = build_hierarchy(rng)
+    subject_key = SigningKey.generate(rng).verify_key
+    tok = pki.issue_token(leaf, leaf_key, pki.TOKEN_SYNTHESIZER,
+                          pki.SynthesizerPayload(name, mu),
+                          pki.Identity(name, email), subject_key,
+                          START, END, rng)
+    _, _, e_leaf, e_tok, sub_key = exemption_setup(rng, tuple(seqs))
+    sub = pki.issue_subtoken(e_tok, sub_key, tuple(seqs[:2]), rng)
+    for obj in (root, inter, leaf, tok, e_leaf, e_tok, sub):
+        assert obj.signed_portion() == replace(obj).signed_portion()
+        again = type(obj).decode(obj.encode())
+        assert again == obj
+        assert again.signed_portion() == obj.signed_portion()
+    chain = pki.CertChain(path=(leaf, inter, root), token=tok)
+    assert chain.encode() == replace(chain).encode()
+    pki.validate_chain(pki.CertChain.decode(chain.encode()), root, NOW)
+
+
+@pytest.mark.parametrize("decoded", [False, True], ids=["issued", "decoded"])
+@pytest.mark.parametrize("sample", range(len(SAMPLES)))
+def test_replaced_field_fails_signature_at_its_depth(sample, decoded):
+    """A field changed with ``replace`` is signed over nothing it kept."""
+    chain, root = SAMPLES[sample]
+    if decoded:
+        chain = pki.CertChain.decode(chain.encode())
+    objects = _signed_objects(chain)
+    n_tokens = len(objects) - len(chain.path)
+    for depth, obj in objects:
+        moved = replace(obj, valid_end=obj.valid_end + 1)
+        assert moved == replace(moved) != obj
+        if depth < n_tokens:
+            tokens = [chain.token, *chain.ancestors]
+            tokens[depth] = moved
+            bad = replace(chain, token=tokens[0], ancestors=tuple(tokens[1:]))
+        else:
+            path = list(chain.path)
+            path[depth - n_tokens] = moved
+            bad = replace(chain, path=tuple(path))
+        # the pinned root is the moved one, so the root test passes
+        anchor = moved if obj is chain.root else root
+        with pytest.raises(BadSignature) as e:
+            pki.validate_chain(bad, anchor, NOW)
+        assert e.value.depth == depth
+        assert bad.encode() != chain.encode()
+
+
+def test_moved_root_is_not_the_pinned_root():
+    chain, root = SAMPLES[0]
+    moved = replace(root, valid_end=root.valid_end + 1)
+    with pytest.raises(UntrustedRoot):
+        pki.validate_chain(replace(chain, path=(*chain.path[:-1], moved)),
+                           root, NOW)

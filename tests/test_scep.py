@@ -26,6 +26,7 @@ from dnascreen.scep import (
     ScepServerConfig,
     ScepServerSession,
     STATE_FINISHED,
+    WINDOW_SECONDS,
     decode_hello,
 )
 
@@ -298,22 +299,74 @@ def test_ledger_deny_consumes_nothing():
     assert rate_limit_check(ledger, sigma, 10, 1002, 100)
 
 
+class _RescanOracle:
+    """The ledger beside a full history of allowed requests, rescanned."""
+
+    def __init__(self):
+        self.ledger = RateLimitLedger()
+        self.history = {}  # sigma -> [(ts, count)] of ALLOWED requests only
+
+    def total(self, sigma, now):
+        return sum(c for ts, c in self.history.get(sigma, [])
+                   if ts >= now - WINDOW_SECONDS)
+
+    def check(self, sigma, count, now, mu) -> bool:
+        """One request; the decision and every window total must agree."""
+        allow = self.total(sigma, now) + count <= mu
+        assert rate_limit_check(self.ledger, sigma, count, now, mu) == allow
+        if allow:
+            self.history.setdefault(sigma, []).append((now, count))
+        for s in self.history:
+            assert self.ledger.window_total(s, now) == self.total(s, now)
+        return allow
+
+
 def test_ledger_against_rescan_oracle():
-    """1000 randomized histories match a full-history rescan oracle."""
+    """Randomized and edge-case histories match a full-history rescan."""
     rng = random.Random(99)
-    window = 24 * 3600
+    window = WINDOW_SECONDS
+    # 1000 single-sigma histories with gaps up to two windows
     for _ in range(1000):
         mu = rng.randrange(1, 50)
-        ledger = RateLimitLedger()
-        history = []  # (ts, count) of ALLOWED requests only
+        oracle = _RescanOracle()
         now = rng.randrange(10 ** 6)
         sigma = rng.randbytes(4)
         for _ in range(rng.randrange(1, 12)):
             now += rng.randrange(0, 2 * window)
-            count = rng.randrange(0, mu + 2)
-            oracle_total = sum(c for ts, c in history if ts >= now - window)
-            oracle_allow = oracle_total + count <= mu
-            got = rate_limit_check(ledger, sigma, count, now, mu)
-            assert got == oracle_allow
-            if oracle_allow:
-                history.append((now, count))
+            oracle.check(sigma, rng.randrange(0, mu + 2), now, mu)
+
+    # several sigmas interleaved, each with its own budget
+    for _ in range(50):
+        oracle = _RescanOracle()
+        sigmas = [rng.randbytes(4) for _ in range(rng.randrange(2, 6))]
+        budgets = {s: rng.randrange(1, 80) for s in sigmas}
+        now = rng.randrange(10 ** 6)
+        for _ in range(60):
+            now += rng.randrange(0, window // 4)
+            s = rng.choice(sigmas)
+            oracle.check(s, rng.randrange(0, budgets[s] // 3 + 2), now,
+                         budgets[s])
+
+    # test-screen's shape: 240 allowed entries inside one window, then the
+    # oldest age out one by one
+    oracle = _RescanOracle()
+    sigma = b"\x5c" * 16
+    start = 10 ** 6
+    for i in range(240):
+        assert oracle.check(sigma, rng.randrange(1, 21), start + 60 * i,
+                            10 ** 6)
+    for i in range(240):
+        oracle.check(sigma, 0, start + window + 60 * i + 1, 10 ** 6)
+    assert oracle.ledger.window_total(sigma, start + window + 60 * 240) == 0
+
+    # an entry exactly WINDOW_SECONDS old still counts; a zero count is an
+    # entry too; a denied request changes no total
+    oracle = _RescanOracle()
+    sigma = b"\xed" * 16
+    assert oracle.check(sigma, 7, 1000, 10)
+    assert oracle.check(sigma, 0, 1000 + window // 2, 10)
+    assert not oracle.check(sigma, 4, 1000 + window, 10)
+    assert oracle.ledger.window_total(sigma, 1000 + window) == 7
+    assert oracle.check(sigma, 10, 1000 + window + 1, 10)
+    assert not oracle.check(sigma, 1, 1000 + window + 1, 10)
+    assert oracle.ledger.window_total(sigma, 1000 + window + 1) == 10
