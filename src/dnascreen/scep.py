@@ -130,8 +130,6 @@ class ScepClientSession:
         self.r_w = None
         self.cookie = None
         self.server_chain = None
-        self.client_token = None  # token encodings both mutauth hashes cover
-        self.server_token = None
         self.state = STATE_INIT
 
     def hello(self, channel: ChannelSession) -> Payload:
@@ -160,20 +158,18 @@ class ScepClientSession:
             raise BadServerChain(
                 f"server token names {server_chain.token.subject_id.name!r} "
                 f"but the channel authenticates {peer!r}")
-        client_token = self.chain.token.encode()
-        server_token = server_chain.token.encode()
         expected = mutauth_hash(self.variant, b"server-mutauth", self.r_s, r_w,
-                                omega, client_token, server_token)
+                                omega, self.chain.token.encode(),
+                                server_chain.token.encode())
         if not server_chain.token.subject_key.verify(expected, sig):
             self.state = STATE_FAILED
             raise BadServerSig("server mutauth signature invalid")
         self.r_w = r_w
         self.cookie = omega
         self.server_chain = server_chain
-        self.client_token, self.server_token = client_token, server_token
         client_sig = self.signing_key.sign(
             mutauth_hash(self.variant, b"client-mutauth", self.r_s, r_w, omega,
-                         client_token, server_token))
+                         self.chain.token.encode(), server_chain.token.encode()))
         self.state = STATE_FINISHED
         return channel_send(channel, encode_finish(omega, client_sig))
 
@@ -183,8 +179,9 @@ class ScepClientSession:
             "r_s": self.r_s,
             "r_w": self.r_w,
             "omega": self.cookie,
-            "client_token": self.client_token,
-            "server_token": self.server_token,
+            "client_token": self.chain.token.encode(),
+            "server_token": (self.server_chain.token.encode()
+                             if self.server_chain else None),
         }
 
 
@@ -206,7 +203,6 @@ class ScepServerSession:
         self.r_w = None
         self.omega = None
         self.client_chain = None
-        self.client_hash = None  # what the client's finish must sign
         self.state = STATE_INIT
 
     def respond(self, hello_plain: bytes, channel: ChannelSession, rng,
@@ -229,16 +225,10 @@ class ScepServerSession:
         self.r_w = rng.randbytes(NONCE_SIZE)
         # The cookie is issued exactly once per session.
         self.omega = rng.randbytes(COOKIE_SIZE)
-        client_token = client_chain.token.encode()
-        server_token = self.config.chain.token.encode()
-        variant = self.config.variant
         sig = self.config.signing_key.sign(
-            mutauth_hash(variant, b"server-mutauth", r_s, self.r_w,
-                         self.omega, client_token, server_token))
-        # every input of the client's hash is fixed once the cookie is drawn
-        self.client_hash = mutauth_hash(variant, b"client-mutauth", r_s,
-                                        self.r_w, self.omega, client_token,
-                                        server_token)
+            mutauth_hash(self.config.variant, b"server-mutauth", r_s, self.r_w,
+                         self.omega, client_chain.token.encode(),
+                         self.config.chain.token.encode()))
         self.state = STATE_RESPONDED
         return channel_send(channel,
                             encode_respond(self.omega, self.r_w,
@@ -252,7 +242,10 @@ class ScepServerSession:
             self.state = STATE_FAILED
             raise BadCookie("cookie echo does not match")
         token = self.client_chain.token
-        if not token.subject_key.verify(self.client_hash, sig):
+        expected = mutauth_hash(self.config.variant, b"client-mutauth",
+                                self.r_s, self.r_w, self.omega,
+                                token.encode(), self.config.chain.token.encode())
+        if not token.subject_key.verify(expected, sig):
             self.state = STATE_FAILED
             raise BadClientSig("client mutauth signature invalid")
         self.state = STATE_FINISHED

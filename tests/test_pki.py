@@ -4,8 +4,6 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from dnascreen import pki
 from dnascreen.crypto import SigningKey
@@ -17,6 +15,7 @@ from dnascreen.errors import (
     NoSubtokenKey,
     NotASubset,
     Revoked,
+    ScreeningError,
     TypeMismatch,
     UntrustedRoot,
 )
@@ -249,7 +248,7 @@ def test_byte_flip_fuzz_all_rejected(rng):
         broken[i] ^= 0x01
         try:
             pki.validate_chain(pki.CertChain.decode(bytes(broken)), root, NOW)
-        except Exception:
+        except ScreeningError:
             rejected += 1
     assert rejected == len(blob)
 
@@ -344,58 +343,74 @@ def _signed_objects(chain):
     return list(enumerate(tokens + list(chain.path)))
 
 
+def _mutated(rng, blob):
+    """``blob`` after one to three random byte flips, cuts and inserts."""
+    blob = bytearray(blob)
+    for _ in range(rng.randrange(1, 4)):
+        kind, pos = rng.choice("fci"), rng.randrange(len(blob) + 1)
+        if kind == "f" and pos < len(blob):
+            blob[pos] ^= rng.randrange(1, 256)
+        elif kind == "c":
+            del blob[pos:pos + rng.randrange(1, 9)]
+        elif kind == "i":
+            blob[pos:pos] = bytes([rng.randrange(256)])
+    return bytes(blob)
+
+
+def test_decoded_bytes_equal_repack():
+    """Every input that decodes keeps exactly what its fields re-pack to,
+    and decode plus validate reject the rest with a ScreeningError only."""
+    rng = random.Random(3)
+    for _ in range(1000):
+        chain, root = rng.choice(SAMPLES)
+        blob = _mutated(rng, chain.encode())
+        try:
+            decoded = pki.CertChain.decode(blob)
+        except DecodeError:
+            continue
+        for _, obj in _signed_objects(decoded):
+            assert obj.signed_portion() == replace(obj).signed_portion()
+        assert decoded.encode() == blob
+        try:
+            pki.validate_chain(decoded, root, NOW)
+        except ScreeningError:
+            pass
+
+
 # multi-byte UTF-8 included; a fixed alphabet needs no Unicode tables
 _CHARS = "aZ0 .-_@\x00\xe9\xdf\u20ac\u4e2d\U0001f600"
-_mutation = st.tuples(st.sampled_from(["flip", "cut", "insert"]),
-                      st.integers(min_value=0), st.integers(1, 255))
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(st.sampled_from(range(len(SAMPLES))), st.lists(_mutation, max_size=3))
-def test_decoded_bytes_equal_repack(which, mutations):
-    """Every input that decodes keeps exactly what its fields re-pack to."""
-    blob = bytearray(SAMPLES[which][0].encode())
-    for kind, pos, byte in mutations:
-        pos %= len(blob) + 1
-        if kind == "flip" and pos < len(blob):
-            blob[pos] ^= byte
-        elif kind == "cut":
-            del blob[pos:pos + byte % 8 + 1]
-        elif kind == "insert":
-            blob[pos:pos] = bytes([byte])
-    blob = bytes(blob)
-    try:
-        chain = pki.CertChain.decode(blob)
-    except DecodeError:
-        return
-    for _, obj in _signed_objects(chain):
-        assert obj.signed_portion() == replace(obj).signed_portion()
-    assert chain.encode() == blob
+def _text(rng, min_size, max_size):
+    return "".join(rng.choice(_CHARS)
+                   for _ in range(rng.randint(min_size, max_size)))
 
 
-@settings(derandomize=True, max_examples=40, deadline=None)
-@given(st.text(_CHARS, min_size=1, max_size=12),
-       st.text(_CHARS, max_size=12), st.integers(0, 2 ** 64 - 1),
-       st.lists(st.binary(max_size=6), max_size=4))
-def test_issued_bytes_survive_decode(name, email, mu, seqs):
+def test_issued_bytes_survive_decode():
     """Issued objects keep what they signed; decoding gives it back."""
-    rng = random.Random(11)
-    root, _, inter, _, leaf, leaf_key = build_hierarchy(rng)
-    subject_key = SigningKey.generate(rng).verify_key
-    tok = pki.issue_token(leaf, leaf_key, pki.TOKEN_SYNTHESIZER,
-                          pki.SynthesizerPayload(name, mu),
-                          pki.Identity(name, email), subject_key,
-                          START, END, rng)
-    _, _, e_leaf, e_tok, sub_key = exemption_setup(rng, tuple(seqs))
-    sub = pki.issue_subtoken(e_tok, sub_key, tuple(seqs[:2]), rng)
-    for obj in (root, inter, leaf, tok, e_leaf, e_tok, sub):
-        assert obj.signed_portion() == replace(obj).signed_portion()
-        again = type(obj).decode(obj.encode())
-        assert again == obj
-        assert again.signed_portion() == obj.signed_portion()
-    chain = pki.CertChain(path=(leaf, inter, root), token=tok)
-    assert chain.encode() == replace(chain).encode()
-    pki.validate_chain(pki.CertChain.decode(chain.encode()), root, NOW)
+    draw = random.Random(5)
+    for _ in range(40):
+        name, email = _text(draw, 1, 12), _text(draw, 0, 12)
+        mu = draw.choice((0, 2 ** 64 - 1, draw.randrange(2 ** 64)))
+        seqs = [draw.randbytes(draw.randrange(7))
+                for _ in range(draw.randrange(5))]
+        rng = random.Random(11)
+        root, _, inter, _, leaf, leaf_key = build_hierarchy(rng)
+        subject_key = SigningKey.generate(rng).verify_key
+        tok = pki.issue_token(leaf, leaf_key, pki.TOKEN_SYNTHESIZER,
+                              pki.SynthesizerPayload(name, mu),
+                              pki.Identity(name, email), subject_key,
+                              START, END, rng)
+        _, _, e_leaf, e_tok, sub_key = exemption_setup(rng, tuple(seqs))
+        sub = pki.issue_subtoken(e_tok, sub_key, tuple(seqs[:2]), rng)
+        for obj in (root, inter, leaf, tok, e_leaf, e_tok, sub):
+            assert obj.signed_portion() == replace(obj).signed_portion()
+            again = type(obj).decode(obj.encode())
+            assert again == obj
+            assert again.signed_portion() == obj.signed_portion()
+        chain = pki.CertChain(path=(leaf, inter, root), token=tok)
+        assert chain.encode() == replace(chain).encode()
+        pki.validate_chain(pki.CertChain.decode(chain.encode()), root, NOW)
 
 
 @pytest.mark.parametrize("decoded", [False, True], ids=["issued", "decoded"])

@@ -13,8 +13,10 @@ For each end-to-end metric of ``BENCHMARK.json`` it prints both medians and
 quartiles, the ratio of B's median to A's, and the pairs each side won
 (ties count for neither side):
 
-  python3 tools/ab_pairs.py --a ../parent --b . --pairs 6 --seconds 10
-  python3 tools/ab_pairs.py --a ../parent --b . --workload test-screen
+  python3 tools/ab_pairs.py --a ../parent --b .
+  python3 tools/ab_pairs.py --a ../parent --workload test-screen
+
+Each run lasts ``run_seconds`` of ``BENCHMARK.json``, as the benchmark's own.
 
 Nothing under ``perfbench/`` is touched; the runs write only what
 ``run.py`` writes itself.
@@ -118,15 +120,13 @@ def main(argv=None):
                     help="checkout B, the candidate (default: this one)")
     ap.add_argument("--workload", action="append", choices=workloads,
                     help="workload to run; repeatable (default: all)")
-    ap.add_argument("--pairs", type=int, default=6,
+    ap.add_argument("--pairs", type=int, default=10,
                     help="number of pairs, on seeds 1..N")
-    ap.add_argument("--seconds", type=float, default=10.0,
-                    help="--seconds passed to each run")
     args = ap.parse_args(argv)
     checkouts = [args.a.resolve(), args.b.resolve()]
     print(f"A = {checkouts[0]}\nB = {checkouts[1]}")
     for workload in args.workload or workloads:
-        pairs = [run_pair(checkouts, workload, seed, args.seconds)
+        pairs = [run_pair(checkouts, workload, seed, bench["run_seconds"])
                  for seed in range(1, args.pairs + 1)]
         print_table(workload, len(pairs), summary(pairs, bench["end_to_end"]))
 
