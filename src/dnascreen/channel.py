@@ -190,7 +190,7 @@ class ClientHandshake:
         self.backend = backend
         self.resumption_allowed = resumption_allowed
         self.r_c = rng.randbytes(32)
-        self.e_c = backend.random_dh_secret(rng)
+        self.e_c = backend.random_nonzero_scalar(rng)
         self._flight2 = None
         self._session = None
         self._pms = None
@@ -271,7 +271,7 @@ class ServerHandshake:
             raise DecodeError("expected client hello")
         self._r_c = r_c
         self.r_s = self.rng.randbytes(32)
-        self.e_s = self.backend.random_dh_secret(self.rng)
+        self.e_s = self.backend.random_nonzero_scalar(self.rng)
         ske_pub = self.backend.generator.exp(self.e_s).encode()
         ske_sig = self.static_key.sign(
             wire.pack_fields(b"key-exchange", r_c, self.r_s, ske_pub))

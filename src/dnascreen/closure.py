@@ -27,6 +27,7 @@ shipped scenario corrupts that many keyservers.
 from dataclasses import dataclass
 
 from .crypto import GroupBackend
+from .errors import DecodeError
 from .terms import Atom, Cat, ExpTerm, Sealed, term_key
 
 MAX_FACTORS = 4
@@ -86,11 +87,13 @@ class Knowledge:
         for ek, elt in elements:
             base = elt.base if isinstance(elt, ExpTerm) else elt
             factors = elt.factors if isinstance(elt, ExpTerm) else ()
-            value = int.from_bytes(
-                elt.data if isinstance(elt, Atom) else elt.data, "big")
+            try:
+                x = self.backend.model_decode(elt.data)
+            except DecodeError:  # no element: nothing to exponentiate
+                continue
             for sc in scalars:
-                s_val = int.from_bytes(sc.data, "big")
-                if s_val % self.backend.q == 0:
+                s_val = int.from_bytes(sc.data, "big") % self.backend.q
+                if s_val == 0:
                     continue
                 for sign in (1, -1):
                     new_factors = _cancel(factors, (sc.label, sign))
@@ -98,9 +101,7 @@ class Knowledge:
                         continue
                     exp_val = (s_val if sign == 1
                                else pow(s_val, -1, self.backend.q))
-                    data = pow(value, exp_val,
-                               self.backend.p).to_bytes(
-                                   self.backend.element_size, "big")
+                    data = x.power(exp_val).encode()
                     if new_factors == ():
                         new_term = base
                     else:

@@ -4,54 +4,38 @@ Two interchangeable group backends sit behind one interface:
 
 - ``test``: the order-11 subgroup of the integers mod 23 generated by 2.
   Small enough that every algebraic property can be checked by brute force.
-- ``prod``: the prime-order subgroup of quadratic residues mod the RFC 3526
-  3072-bit safe prime (generator 2). Roughly 128-bit classical security.
+- ``prod``: ristretto255 (RFC 9496), the prime-order group of order
+  l = 2^252 + 27742317777372353535851937790883648493 built on edwards25519,
+  in pure Python. Roughly 128-bit security, 32-byte elements.
 
 All protocol logic above this module is backend-generic: it sees only
-``GroupElement`` and ``Scalar``. Signatures are Ed25519 over canonical
-encodings, and the record AEAD is ChaCha20-Poly1305 with the 64-bit
-per-direction sequence number baked into the nonce.
+``GroupElement`` and ``Scalar``, written multiplicatively (``exp``, ``mul``)
+on both backends. Signatures are Ed25519 over canonical encodings, and the
+record AEAD is ChaCha20-Poly1305 with the 64-bit per-direction sequence
+number baked into the nonce.
 
-Both moduli are safe primes, p = 2q + 1 with q prime, and the constructor
-refuses a p other than 2q + 1. The order-q subgroup is then exactly the
-quadratic residues mod p, so by Euler's criterion v^q = 1 (mod p) holds iff
-the Legendre symbol (v/p) is 1. ``GroupBackend.element`` tests membership
-with that symbol, computed by a binary Jacobi-symbol loop with the cost of a
-gcd, instead of a full 3072-bit power on ``prod``.
+An element encodes as a fixed-width canonical integer: the residue itself,
+big-endian, on ``test``; ristretto255's 32-byte little-endian s on ``prod``.
+Decoding is the membership check. On ``test`` (p = 2q + 1 a safe prime) it
+tests v^q = 1 (mod p); on ``prod`` it is RFC 9496's decode, which refuses a
+non-canonical or negative s and any s that is not the encoding of a group
+element. Scalars encode big-endian on both backends.
 
-Every ``GroupElement`` has an order dividing q, so ``exp`` may raise to
-e - q instead of e. It does so when q - e is short (at most 16 bits, or
-half the bits of q on a smaller group), which turns an exponent such as
-q - 1 (the Lagrange coefficient -1) into one modular inverse.
+Every ``GroupElement`` has an order dividing q, so ``exp`` computes x^e as
+the inverse of x^(q - e) when q - e is short (at most 16 bits, or half the
+bits of q on a smaller group). That turns an exponent such as q - 1 (the
+Lagrange coefficient -1) into one inverse: on ``prod``, a point negation.
 
-On ``prod`` every other exponentiation with a long exponent runs on
-OpenSSL's constant-time Montgomery modexp, reached through the finite-field
-DH API of ``cryptography``: x^e mod p is the shared secret of private key e
-with peer public key x. That is about 10 ms against about 110 ms for
-Python's ``pow`` on a 3072-bit exponent. The backend holds DH parameters
-only when OpenSSL accepts its modulus; OpenSSL refuses p below 512 bits, so
-the ``test`` backend stays on ``pow``. A short exponent such as 2 also stays
-on ``pow``, which costs no more than the OpenSSL call up to 16 bits.
-Exponent 0 and the identity base never reach OpenSSL: it rejects a shared
-secret of 1 (or p - 1) with a Rust panic, which is not an ``Exception``.
-Within the order-q subgroup no other input gives 1, and p - 1 is not in the
-subgroup.
-
-The channel handshake's ephemeral DH secrets come from ``random_dh_secret``:
-uniform in [1, min(q, 2^275)), the short exponents RFC 7919 and NIST
-SP 800-56A allow for ephemeral DH over a safe-prime group. On ``prod`` such
-a power still runs on OpenSSL but costs about 1 ms instead of about 10 ms,
-so a basic query's twelve handshake powers take about 13 ms instead of
-about 115 ms. Key shares and the blinding scalar beta stay uniform mod q:
-Shamir sharing and blinding hide a value only when the scalar is uniform
-over the whole group. On ``test`` q is below 2^275, so the draw is
-``random_nonzero_scalar``'s, value and rng state alike.
+The ``prod`` arithmetic is variable time: scalar multiplication skips zero
+digits and the codecs branch on their inputs. Nothing in this repository
+measures timing side channels; a deployment would use a constant-time
+implementation.
 """
 
 import hashlib
+from functools import cached_property
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
-from cryptography.hazmat.primitives.asymmetric import dh
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
@@ -60,98 +44,38 @@ from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
 from .errors import AuthenticationFailure, DecodeError
 
-# RFC 3526 group 15 (3072-bit MODP). p is a safe prime: q = (p-1)/2 is prime,
-# and 2 generates the order-q subgroup of quadratic residues (p = 7 mod 8).
-_RFC3526_3072_P = int(
-    "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E088A67CC74"
-    "020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B302B0A6DF25F1437"
-    "4FE1356D6D51C245E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED"
-    "EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE45B3DC2007CB8A163BF05"
-    "98DA48361C55D39A69163FA8FD24CF5F83655D23DCA3AD961C62F356208552BB"
-    "9ED529077096966D670C354E4ABC9804F1746C08CA18217C32905E462E36CE3B"
-    "E39E772C180E86039B2783A2EC07A28FB5C55DF06F4C52C9DE2BCBF695581718"
-    "3995497CEA956AE515D2261898FA051015728E5A8AAAC42DAD33170D04507A33"
-    "A85521ABDF1CBA64ECFB850458DBEF0A8AEA71575D060C7DB3970F85A6E1E4C7"
-    "ABF5AE8CDB0933D71E8C94E04A25619DCEE3D2261AD2EE6BF12FFA06D98A0864"
-    "D87602733EC86A64521F2B18177B200CBBE117577A615D6C770988C0BAD946E2"
-    "08E24FA074E5AB3143DB5BFCE0FD108E4B82D120A93AD2CAFFFFFFFFFFFFFFFF",
-    16,
-)
-
-# Exponents of at most this many bits, and q minus such exponents, stay on
-# pow. On prod, pow of such an exponent costs about one OpenSSL call
-# (0.3-0.6 ms), and a short negative power (one inverse, ~1.5 ms) is far
-# cheaper than OpenSSL's ~10 ms on the full-length q - m.
+# q - e of at most this many bits makes x^e one short power and an inverse.
 _SHORT_EXP_BITS = 16
-
-# Length bound of an ephemeral channel DH secret: RFC 7919 Appendix A.2 asks
-# for at least 275 bits on a 3072-bit group.
-_DH_SECRET_BITS = 275
-
-
-def _legendre(a: int, p: int) -> int:
-    """The Jacobi symbol (a/p) for odd p > 0: the Legendre symbol if p is prime.
-
-    Binary algorithm: strip factors of two (each flips the sign when
-    p = 3, 5 mod 8), then swap by quadratic reciprocity (flipping the sign
-    when both are 3 mod 4) and reduce.
-    """
-    a %= p
-    sign = 1
-    while a:
-        twos = (a & -a).bit_length() - 1
-        a >>= twos
-        if twos & 1 and p & 7 in (3, 5):
-            sign = -sign
-        if a & 3 == 3 and p & 3 == 3:
-            sign = -sign
-        a, p = p % a, a
-    return sign if p == 1 else 0
 
 
 class GroupBackend:
-    """A cyclic group of prime order q inside the integers mod p."""
+    """A cyclic group of prime order q with fixed-width canonical encodings.
 
-    def __init__(self, name: str, p: int, q: int, g: int,
-                 element_size: int, scalar_size: int):
-        if p != 2 * q + 1:
-            raise ValueError("p must be the safe prime 2q + 1")
+    A subclass holds elements as whatever values suit its arithmetic and
+    supplies it on them: ``_decode`` (canonical integer to value, raising
+    ``DecodeError`` for a non-member), ``_canonical`` (the inverse),
+    ``_mul``, ``_pow`` (to a power k >= 0), ``_inv``, ``_is_identity`` and
+    ``_hash`` (bytes to a ``GroupElement``).
+    """
+
+    byteorder = "big"  # of element encodings; scalars are always big-endian
+
+    def __init__(self, name: str, q: int, element_size: int, scalar_size: int,
+                 generator, identity):
         self.name = name
-        self.p = p
         self.q = q
-        self.g = g
         self.element_size = element_size
         self.scalar_size = scalar_size
-        self.generator = GroupElement(self, g)
-        self.identity = GroupElement(self, 1)
+        self.generator = GroupElement(self, generator)
+        self.identity = GroupElement(self, identity)
         self.short_exp_bits = min(q.bit_length() // 2, _SHORT_EXP_BITS)
-        try:
-            params = dh.DHParameterNumbers(p, g)
-            params.parameters()
-        except ValueError:  # OpenSSL refuses moduli below 512 bits
-            self._dh_generator = None
-        else:
-            self._dh_generator = dh.DHPublicNumbers(g, params)
-
-    def _openssl_pow(self, x: int, k: int) -> int:
-        """x^k mod p as OpenSSL's DH shared secret of private k and peer x.
-
-        The private key's public half is never used, so g stands in for it.
-        x^k must not be 1 or p - 1, which OpenSSL rejects with a panic.
-        """
-        anchor = self._dh_generator
-        peer = dh.DHPublicNumbers(x, anchor.parameter_numbers).public_key()
-        key = dh.DHPrivateNumbers(k, anchor).private_key()
-        return int.from_bytes(key.exchange(peer), "big")
 
     def scalar(self, v: int) -> "Scalar":
         return Scalar(self, v % self.q)
 
     def element(self, v: int) -> "GroupElement":
-        """Wrap v, validating subgroup membership."""
-        if not 1 <= v < self.p or _legendre(v, self.p) != 1:
-            raise DecodeError(f"{v} is not in the order-{self.q} subgroup")
-        return GroupElement(self, v)
+        """The element whose canonical integer is v, validating membership."""
+        return GroupElement(self, self._decode(v))
 
     def random_scalar(self, rng) -> "Scalar":
         return Scalar(self, rng.randrange(self.q))
@@ -159,21 +83,21 @@ class GroupBackend:
     def random_nonzero_scalar(self, rng) -> "Scalar":
         return Scalar(self, rng.randrange(1, self.q))
 
-    def random_dh_secret(self, rng) -> "Scalar":
-        """An ephemeral handshake DH secret, uniform in [1, min(q, 2^275)).
-
-        A short exponent is standard for ephemeral DH over a safe-prime
-        group (RFC 7919 section 5.2 and Appendix A.2; NIST SP 800-56A
-        Rev. 3 section 5.6.1.1.4 draws from [1, M - 1] with
-        M = min(2^N, q)). On a group with q below 2^275 this is exactly
-        ``random_nonzero_scalar``: the same value from the same rng draw.
-        """
-        return Scalar(self, rng.randrange(1, min(self.q, 1 << _DH_SECRET_BITS)))
-
-    def decode_element(self, b: bytes) -> "GroupElement":
+    def _encoding_int(self, b: bytes) -> int:
         if len(b) != self.element_size:
             raise DecodeError("bad element width")
-        return self.element(int.from_bytes(b, "big"))
+        return int.from_bytes(b, self.byteorder)
+
+    def decode_element(self, b: bytes) -> "GroupElement":
+        return self.element(self._encoding_int(b))
+
+    def model_decode(self, b: bytes) -> "GroupElement":
+        """``decode_element`` for the adversary closure's modelled work.
+
+        It skips the ``element`` call that perfbench counts as one of the
+        protocol's membership checks; the check itself still runs.
+        """
+        return GroupElement(self, self._decode(self._encoding_int(b)))
 
     def hash_to_group(self, msg: bytes) -> "GroupElement":
         return hash_to_group(msg, self)
@@ -193,44 +117,348 @@ class GroupBackend:
         return f"GroupBackend({self.name})"
 
 
+class ModularGroup(GroupBackend):
+    """The order-q subgroup of the integers mod the safe prime p = 2q + 1.
+
+    The subgroup is exactly the quadratic residues mod p, and g generates it.
+    """
+
+    def __init__(self, name: str, p: int, q: int, g: int,
+                 element_size: int, scalar_size: int):
+        if p != 2 * q + 1:
+            raise ValueError("p must be the safe prime 2q + 1")
+        self.p = p
+        self.g = g
+        super().__init__(name, q, element_size, scalar_size, g, 1)
+
+    def _decode(self, v: int) -> int:
+        if not 1 <= v < self.p or pow(v, self.q, self.p) != 1:
+            raise DecodeError(f"{v} is not in the order-{self.q} subgroup")
+        return v
+
+    def _canonical(self, v: int) -> int:
+        return v
+
+    def _mul(self, a: int, b: int) -> int:
+        return a * b % self.p
+
+    def _pow(self, v: int, k: int) -> int:
+        return pow(v, k, self.p)
+
+    def _inv(self, v: int) -> int:
+        return pow(v, -1, self.p)
+
+    def _is_identity(self, v: int) -> bool:
+        return v == 1
+
+    def _hash(self, msg: bytes) -> "GroupElement":
+        """g^(SHA-256(msg) mod q)."""
+        e = int.from_bytes(hashlib.sha256(msg).digest(), "big") % self.q
+        return self.generator.exp(Scalar(self, e))
+
+
+# --- ristretto255 over edwards25519 (RFC 9496) ------------------------------
+#
+# Points are extended twisted Edwards coordinates (X, Y, Z, T) on
+# -x^2 + y^2 = 1 + d x^2 y^2, with x = X/Z, y = Y/Z, xy = T/Z and every
+# coordinate reduced into [0, p). A ristretto255 element is a class of four
+# such points that differ by a 4-torsion point; encode picks one canonical
+# byte string per class.
+
+_P = 2 ** 255 - 19
+_L = 2 ** 252 + 27742317777372353535851937790883648493
+_D = -121665 * pow(121666, -1, _P) % _P
+_D2 = 2 * _D % _P
+_SQRT_M1 = pow(2, (_P - 1) // 4, _P)
+# The two roots as RFC 9496 section 4.1 lists them. The sign of
+# SQRT_AD_MINUS_ONE decides between P and -P in the element-derivation map;
+# the sign of INVSQRT_A_MINUS_D cancels in encode.
+_SQRT_AD_MINUS_ONE = int(
+    "25063068953384623474111414158702152701244531502492656460079210482610430750235")
+_INVSQRT_A_MINUS_D = int(
+    "54469307008909316920995813868745141605393597292927456921205312896311721017578")
+_ONE_MINUS_D_SQ = (1 - _D * _D) % _P
+_D_MINUS_ONE_SQ = (_D - 1) ** 2 % _P
+
+_ED_IDENTITY = (0, 1, 1, 0)
+
+
+def _sqrt_ratio_m1(u: int, v: int) -> tuple[bool, int]:
+    """(was_square, r): the even root r of u/v if u/v is square, else of
+    SQRT_M1 * u/v (RFC 9496 section 4.2)."""
+    P = _P
+    u %= P
+    v3 = v * v % P * v % P
+    r = u * v3 % P * pow(u * v3 % P * v3 % P * v % P, (P - 5) // 8, P) % P
+    check = v * r % P * r % P
+    correct = check == u
+    flipped = check == -u % P
+    if flipped or check == -u * _SQRT_M1 % P:
+        r = r * _SQRT_M1 % P
+    if r & 1:
+        r = P - r
+    return correct or flipped, r
+
+
+def _ed_double(p1: tuple) -> tuple:
+    """2 * p1 (dbl-2008-hwcd for a = -1); it does not read T."""
+    P = _P
+    X, Y, Z, _ = p1
+    a, b, s = X * X % P, Y * Y % P, X + Y
+    h, g = a + b, a - b
+    e, f = h - s * s % P, 2 * Z * Z % P + g
+    return e * f % P, g * h % P, f * g % P, e * h % P
+
+
+def _ed_neg(p1: tuple) -> tuple:
+    X, Y, Z, T = p1
+    return -X % _P, Y, Z, -T % _P
+
+
+def _radix16(k: int) -> list[int]:
+    """Signed radix-16 digits of k >= 0, least significant first, each in
+    [-7, 8]; the most significant is positive."""
+    digits = []
+    while k:
+        digit = k & 15
+        k >>= 4
+        if digit > 8:
+            digit -= 16
+            k += 1
+        digits.append(digit)
+    return digits
+
+
+def _cached(p1: tuple) -> tuple:
+    """p1 as the (Y - X, Y + X, 2d T, 2 Z) that an addition reads."""
+    X, Y, Z, T = p1
+    return (Y - X) % _P, (Y + X) % _P, T * _D2 % _P, 2 * Z % _P
+
+
+def _ed_add_cached(p1: tuple, c: tuple) -> tuple:
+    """p1 + p2 for p2 in cached form (add-2008-hwcd-3 for a = -1)."""
+    P = _P
+    X, Y, Z, T = p1
+    ym, yp, t2d, z2 = c
+    a = (Y - X) * ym % P
+    b = (Y + X) * yp % P
+    c = T * t2d % P
+    d = Z * z2 % P
+    e, f, g, h = b - a, d - c, d + c, b + a
+    return e * f % P, g * h % P, f * g % P, e * h % P
+
+
+def _ed_add(p1: tuple, p2: tuple) -> tuple:
+    return _ed_add_cached(p1, _cached(p2))
+
+
+def _digit_table(p1: tuple, top: int) -> list:
+    """t[j] = j * p1 in cached form for j in [-7, top], j != 0, read with
+    Python's negative indices for negative j."""
+    multiples = [p1]
+    if top > 1:
+        multiples.append(_ed_double(p1))
+    while len(multiples) < top:
+        multiples.append(_ed_add(multiples[-1], p1))
+    cached = [_cached(m) for m in multiples]
+    # -(x, y) = (-x, y): Y - X and Y + X swap and T changes sign
+    negated = [(yp, ym, -t2d % _P, z2) for ym, yp, t2d, z2 in cached[:7]]
+    return [None, *cached, *[None] * (8 - top), *reversed(negated)]
+
+
+def _ed_mul(p1: tuple, k: int) -> tuple:
+    """k * p1 for k >= 0: four doublings and at most one addition per
+    signed radix-16 digit. The first three doublings skip T, which only an
+    addition reads."""
+    digits = _radix16(k)
+    if not digits:
+        return _ED_IDENTITY
+    P = _P
+    table = _digit_table(p1, max(map(abs, digits)))
+    acc = _ed_add_cached(_ED_IDENTITY, table[digits.pop()])
+    X, Y, Z, _ = acc
+    for digit in reversed(digits):
+        for _ in range(3):
+            a, b, s = X * X % P, Y * Y % P, X + Y
+            h, g = a + b, a - b
+            e, f = h - s * s % P, 2 * Z * Z % P + g
+            X, Y, Z = e * f % P, g * h % P, f * g % P
+        acc = _ed_double((X, Y, Z, None))
+        if digit:
+            acc = _ed_add_cached(acc, table[digit])
+        X, Y, Z, _ = acc
+    return acc
+
+
+def _ed_base_table(base: tuple) -> list:
+    """The digit tables of 16^i * base for i < 64."""
+    rows = []
+    for _ in range(64):
+        rows.append(_digit_table(base, 8))
+        for _ in range(4):
+            base = _ed_double(base)
+    return rows
+
+
+def _ed_mul_base(rows: list, k: int) -> tuple:
+    """k * base for 0 <= k < 2^255 from base's rows: one addition per
+    nonzero digit and no doubling."""
+    acc = _ED_IDENTITY
+    for row, digit in zip(rows, _radix16(k)):
+        if digit:
+            acc = _ed_add_cached(acc, row[digit])
+    return acc
+
+
+def _ristretto_decode(s: int) -> tuple:
+    """The point that s encodes (RFC 9496 section 4.3.1)."""
+    P = _P
+    if s >= P or s & 1:
+        raise DecodeError("not a canonical ristretto255 encoding")
+    ss = s * s % P
+    u1, u2 = 1 - ss, 1 + ss
+    u2_sqr = u2 * u2 % P
+    v = (-_D * u1 * u1 - u2_sqr) % P
+    was_square, invsqrt = _sqrt_ratio_m1(1, v * u2_sqr)
+    den_x = invsqrt * u2 % P
+    den_y = invsqrt * den_x % P * v % P
+    x = 2 * s * den_x % P
+    if x & 1:
+        x = P - x
+    y = u1 * den_y % P
+    t = x * y % P
+    if not was_square or t & 1 or y == 0:
+        raise DecodeError("not a ristretto255 element")
+    return x, y, 1, t
+
+
+def _ristretto_encode(p1: tuple) -> int:
+    """The canonical s of p1's class (RFC 9496 section 4.3.2)."""
+    P = _P
+    X0, Y0, Z0, T0 = p1
+    u1 = (Z0 + Y0) * (Z0 - Y0) % P
+    u2 = X0 * Y0 % P
+    _, invsqrt = _sqrt_ratio_m1(1, u1 * u2 % P * u2)
+    den1 = invsqrt * u1 % P
+    den2 = invsqrt * u2 % P
+    z_inv = den1 * den2 % P * T0 % P
+    if T0 * z_inv % P & 1:  # rotate by the 4-torsion point (i, 0)
+        X, Y = Y0 * _SQRT_M1 % P, X0 * _SQRT_M1 % P
+        den_inv = den1 * _INVSQRT_A_MINUS_D % P
+    else:
+        X, Y, den_inv = X0, Y0, den2
+    if X * z_inv % P & 1:
+        Y = P - Y
+    s = den_inv * (Z0 - Y) % P
+    return P - s if s & 1 else s
+
+
+def _ristretto_map(b: bytes) -> tuple:
+    """The one-way map of 32 bytes to a point (RFC 9496 section 4.3.4)."""
+    P = _P
+    t = int.from_bytes(b, "little") & ((1 << 255) - 1)
+    r = _SQRT_M1 * t % P * t % P
+    u = (r + 1) * _ONE_MINUS_D_SQ % P
+    v = (-1 - r * _D) * (r + _D) % P
+    was_square, s = _sqrt_ratio_m1(u, v)
+    c = -1
+    if not was_square:
+        s, c = s * t % P, r
+        if not s & 1:  # s = -|s t|, where |x| is the even one of x and -x
+            s = -s % P
+    n = (c * (r - 1) * _D_MINUS_ONE_SQ - v) % P
+    w0 = 2 * s * v % P
+    w1 = n * _SQRT_AD_MINUS_ONE % P
+    ss = s * s % P
+    w2, w3 = 1 - ss, 1 + ss
+    return w0 * w3 % P, w2 * w1 % P, w1 * w3 % P, w0 * w2 % P
+
+
+def _ed_base() -> tuple:
+    """The edwards25519 base point: y = 4/5 and x even."""
+    y = 4 * pow(5, -1, _P) % _P
+    _, x = _sqrt_ratio_m1(y * y - 1, _D * y * y + 1)
+    return x, y, 1, x * y % _P
+
+
+class Ristretto255(GroupBackend):
+    """ristretto255: the prime-order group of RFC 9496 in pure Python."""
+
+    byteorder = "little"
+
+    def __init__(self, name: str):
+        super().__init__(name, _L, element_size=32, scalar_size=32,
+                         generator=_ed_base(), identity=_ED_IDENTITY)
+
+    _decode = staticmethod(_ristretto_decode)
+    _canonical = staticmethod(_ristretto_encode)
+    _mul = staticmethod(_ed_add)
+    _inv = staticmethod(_ed_neg)
+
+    @cached_property
+    def _base_rows(self) -> list:
+        return _ed_base_table(self.generator.value)
+
+    def _pow(self, v: tuple, k: int) -> tuple:
+        if v is self.generator.value:
+            return _ed_mul_base(self._base_rows, k)
+        return _ed_mul(v, k)
+
+    @staticmethod
+    def _is_identity(p1: tuple) -> bool:
+        # the identity's class is the 4-torsion: (0, +-1) and (+-i, 0)
+        return p1[0] == 0 or p1[1] == 0
+
+    def _hash(self, msg: bytes) -> "GroupElement":
+        """Element derivation from SHA-512(msg) (RFC 9496 section 4.3.4)."""
+        h = hashlib.sha512(msg).digest()
+        return GroupElement(self, _ed_add(_ristretto_map(h[:32]),
+                                          _ristretto_map(h[32:])))
+
+
 class GroupElement:
-    """Element of the backend's prime-order subgroup."""
+    """Element of the backend's prime-order group."""
 
     __slots__ = ("backend", "value")
 
-    def __init__(self, backend: GroupBackend, value: int):
+    def __init__(self, backend: GroupBackend, value):
         self.backend = backend
         self.value = value
 
     def exp(self, e: "Scalar") -> "GroupElement":
+        return self.power(e.value)
+
+    def power(self, k: int) -> "GroupElement":
+        """self^k for 0 <= k <= q; ``exp`` outside perfbench's count."""
         b = self.backend
-        k = e.value
-        if (b.q - k).bit_length() <= b.short_exp_bits:
-            k -= b.q  # x^q = 1, and pow takes a short negative power cheaply
-        elif (b._dh_generator is not None
-              and k.bit_length() > b.short_exp_bits and self.value != 1):
-            return GroupElement(b, b._openssl_pow(self.value, k))
-        return GroupElement(b, pow(self.value, k, b.p))
+        m = b.q - k
+        if m.bit_length() <= b.short_exp_bits:
+            # x^q is the identity, so x^k is the inverse of the short x^m
+            return GroupElement(b, b._inv(b._pow(self.value, m)))
+        return GroupElement(b, b._pow(self.value, k))
 
     def mul(self, other: "GroupElement") -> "GroupElement":
-        return GroupElement(self.backend, (self.value * other.value) % self.backend.p)
+        b = self.backend
+        return GroupElement(b, b._mul(self.value, other.value))
 
     def is_identity(self) -> bool:
-        return self.value == 1
+        return self.backend._is_identity(self.value)
 
     def encode(self) -> bytes:
-        return self.value.to_bytes(self.backend.element_size, "big")
+        b = self.backend
+        return b._canonical(self.value).to_bytes(b.element_size, b.byteorder)
 
     def __eq__(self, other):
         return (isinstance(other, GroupElement)
                 and self.backend is other.backend
-                and self.value == other.value)
+                and (self.backend._canonical(self.value)
+                     == other.backend._canonical(other.value)))
 
     def __hash__(self):
-        return hash((self.backend.name, self.value))
+        return hash((self.backend.name, self.backend._canonical(self.value)))
 
     def __repr__(self):
-        return f"GroupElement({self.value} mod {self.backend.p})"
+        return f"GroupElement({self.encode().hex()} in {self.backend.name})"
 
 
 class Scalar:
@@ -276,59 +504,46 @@ def exp(base: GroupElement, e: Scalar) -> GroupElement:
 def hash_to_group(msg: bytes, backend: GroupBackend) -> GroupElement:
     """Deterministically map bytes into the group, never hitting the identity.
 
-    Test backend: g^(SHA-256(msg) mod q), with a remap of the identity to g.
-    Prod backend: square a SHAKE-256 expansion of msg mod p, landing in the
-    quadratic-residue subgroup with unknown discrete log; identity remaps to g.
+    Test backend: g^(SHA-256(msg) mod q). Prod backend: ristretto255's
+    element derivation from SHA-512(msg), which reaches neither ``exp`` nor
+    ``element``. Either way an identity remaps to g.
     """
-    if backend.name == "test":
-        e = int.from_bytes(hashlib.sha256(msg).digest(), "big") % backend.q
-        elt = backend.generator.exp(Scalar(backend, e))
-    else:
-        width = (backend.p.bit_length() + 7) // 8
-        x = int.from_bytes(hashlib.shake_256(msg).digest(width), "big")
-        x = (x % (backend.p - 1)) + 1
-        elt = GroupElement(backend, pow(x, 2, backend.p))
+    elt = backend._hash(msg)
     if elt.is_identity():
         return backend.generator
     return elt
 
 
-TEST_BACKEND = GroupBackend("test", p=23, q=11, g=2, element_size=4, scalar_size=4)
-
-_prod = None
-
-
-def prod_backend() -> GroupBackend:
-    global _prod
-    if _prod is None:
-        p = _RFC3526_3072_P
-        _prod = GroupBackend("prod", p=p, q=(p - 1) // 2, g=2,
-                             element_size=384, scalar_size=384)
-    return _prod
+TEST_BACKEND = ModularGroup("test", p=23, q=11, g=2, element_size=4,
+                            scalar_size=4)
+PROD_BACKEND = Ristretto255("prod")
 
 
 def get_backend(name: str) -> GroupBackend:
     if name == "test":
         return TEST_BACKEND
     if name == "prod":
-        return prod_backend()
+        return PROD_BACKEND
     raise ValueError(f"unknown backend {name!r}")
 
 
 # --- signatures -------------------------------------------------------------
 
 class VerifyKey:
-    __slots__ = ("_raw",)
+    __slots__ = ("_raw", "_key")
 
     def __init__(self, raw: bytes):
         if len(raw) != 32:
             raise DecodeError("verify key must be 32 bytes")
         self._raw = raw
+        self._key = None  # parsed on the first verify
 
     def verify(self, msg: bytes, sig: bytes) -> bool:
         """True iff sig was made by the matching signing key over exactly msg."""
         try:
-            Ed25519PublicKey.from_public_bytes(self._raw).verify(sig, msg)
+            if self._key is None:
+                self._key = Ed25519PublicKey.from_public_bytes(self._raw)
+            self._key.verify(sig, msg)
             return True
         except (InvalidSignature, ValueError):
             return False

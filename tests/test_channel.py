@@ -17,11 +17,9 @@ from dnascreen.channel import (
 from dnascreen.crypto import (
     FIN_SEQ,
     TEST_BACKEND,
-    GroupBackend,
     SigningKey,
     aead_seal,
     get_backend,
-    prod_backend,
 )
 from dnascreen.errors import (
     AuthenticationFailure,
@@ -125,29 +123,24 @@ def test_client_rejects_signed_identity_server_share(world, name):
         hs.receive_server_flight(flight2)
 
 
-def test_prod_handshake_draws_short_secrets_and_powers_them_on_openssl(
-        world, monkeypatch):
-    P = prod_backend()
-    powered = []
-    real = GroupBackend._openssl_pow
-
-    def spy(backend, x, k):
-        powered.append(k)
-        return real(backend, x, k)
-
-    monkeypatch.setattr(GroupBackend, "_openssl_pow", spy)
+@pytest.mark.parametrize("name", ["test", "prod"])
+def test_handshake_secrets_are_nonzero_scalar_draws(world, name):
+    G = get_backend(name)
     rng, ca, ident, static = world
-    server = ServerHandshake(ident, static, P, rng)
-    hs = ClientHandshake("H", ca.verify_key, P, rng)
+    mirror = random.Random()
+    mirror.setstate(rng.getstate())
+    server = ServerHandshake(ident, static, G, rng)
+    hs = ClientHandshake("H", ca.verify_key, G, rng)
+    mirror.randbytes(32)  # r_c
+    assert hs.e_c == G.random_nonzero_scalar(mirror)
     flight2 = server.receive_client_hello(hs.client_hello().data).data
+    mirror.randbytes(32)  # r_s
+    assert server.e_s == G.random_nonzero_scalar(mirror)
+    assert rng.getstate() == mirror.getstate()
     flight4 = server.receive_client_kex(hs.receive_server_flight(flight2).data)
     client = hs.receive_server_finished(flight4.data)
-    e_c, e_s = hs.e_c.value, server.e_s.value
-    assert all(1 <= e < 2 ** 275 for e in (e_c, e_s))
     assert client.client_write == server.session.client_write
     assert client.server_write == server.session.server_write
-    # each side raises g and the peer's share to its own secret
-    assert sorted(powered) == sorted([e_c, e_c, e_s, e_s])
 
 
 def test_tampered_finished_detected(world):

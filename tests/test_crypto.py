@@ -1,24 +1,40 @@
 """Group backends, hash-to-group, signatures, and the record AEAD."""
 
+import hashlib
 import random
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
+from dnascreen import crypto
 from dnascreen.crypto import (
     FIN_SEQ,
-    GroupBackend,
+    ModularGroup,
     TEST_BACKEND,
     aead_open,
     aead_seal,
     exp,
     get_backend,
     hash_to_group,
-    prod_backend,
     SigningKey,
+    VerifyKey,
 )
 from dnascreen.errors import AuthenticationFailure, DecodeError
 
 B = TEST_BACKEND
+P = get_backend("prod")
+
+
+def double_and_add(x, k: int):
+    """x^k by square-and-multiply over ``mul`` alone: a reference for ``exp``
+    that shares no code with it on either backend."""
+    acc = x.backend.identity
+    for bit in bin(k)[2:]:
+        acc = acc.mul(acc)
+        if bit == "1":
+            acc = acc.mul(x)
+    return acc
 
 
 def test_test_backend_parameters():
@@ -100,32 +116,31 @@ def test_element_membership_validation():
                 B.element(v)
 
 
-def test_prod_membership_agrees_with_eulers_criterion():
-    P = prod_backend()
-    rng = random.Random(12)
-    squares = [pow(rng.randrange(2, P.p - 1), 2, P.p) for _ in range(18)]
-    non_squares = [P.p - v for v in squares]  # -1 is a non-residue mod P.p
-    values = squares + non_squares + [1, 2, P.p - 1, P.g * P.g % P.p]
-    euler = [pow(v, P.q, P.p) == 1 for v in values]
-    assert len(values) == 40 and sum(euler) == len(squares) + 3
-    for v, member in zip(values, euler):
-        if member:
-            assert P.element(v).value == v
-        else:
-            with pytest.raises(DecodeError):
-                P.element(v)
-
-
 def test_prod_decode_rejects_out_of_group_values():
-    P = prod_backend()
-    for v in (P.p - 1, 0, P.p):
+    # RFC 9496 decode: s >= p and odd s are non-canonical, and an s whose
+    # square-root step fails encodes no element
+    p = crypto._P
+    g = int.from_bytes(P.generator.encode(), "little")
+    # 2p - g is even and names the field element -g, whose point is g's
+    for s in (2 * p - g, p, p + 1, 2 ** 256 - 2, 1, p - g):
         with pytest.raises(DecodeError):
-            P.decode_element(v.to_bytes(P.element_size, "big"))
+            P.decode_element((s % 2 ** 256).to_bytes(32, "little"))
+    rng = random.Random(12)
+    rejected = 0
+    for _ in range(60):
+        s = rng.randrange(p) & ~1
+        try:
+            P.element(s)
+        except DecodeError:
+            rejected += 1
+    assert 0 < rejected < 60
+    with pytest.raises(DecodeError):
+        P.decode_element(bytes(31))
 
 
 def test_backend_requires_safe_prime():
     with pytest.raises(ValueError):
-        GroupBackend("x", p=29, q=11, g=2, element_size=4, scalar_size=4)
+        ModularGroup("x", p=29, q=11, g=2, element_size=4, scalar_size=4)
 
 
 @pytest.mark.parametrize("name", ["test", "prod"])
@@ -137,90 +152,122 @@ def test_signed_exponent_matches_plain_power(name):
     low = [G.scalar(rng.randrange(0, G.q // 2 + 1)) for _ in range(3)]
     high = [G.scalar(rng.randrange(G.q // 2 + 1, G.q)) for _ in range(3)]
     for s in low + high + [G.scalar(G.q - 2), G.scalar(1), G.scalar(0)]:
-        assert x.exp(s).value == pow(x.value, s.value, G.p)
+        assert x.exp(s) == double_and_add(x, s.value)
 
 
 def test_prod_exp_matches_plain_power_on_both_routes():
-    P = prod_backend()
+    # a short q - k takes the inverse of x^(q - k), here a point negation;
+    # every other k runs the signed radix-16 multiplication
     rng = random.Random(14)
     short = P.short_exp_bits
-    # seeded (base, long exponent) pairs, which run on OpenSSL
-    for _ in range(4):
+    assert short == 16
+    for _ in range(3):
         x = hash_to_group(rng.randbytes(16), P)
         s = P.random_scalar(rng)
-        assert x.exp(s).value == pow(x.value, s.value, P.p)
-    # short exponents on either side of the pow/OpenSSL split
+        assert x.exp(s) == double_and_add(x, s.value)
     x = hash_to_group(b"short and long", P)
-    for k in (0, 1, 2, 2 ** short - 1, 2 ** short, 2 ** (short + 8) + 1):
-        assert x.exp(P.scalar(k)).value == pow(x.value, k, P.p)
-    # q - m on either side of the signed/OpenSSL split: x^(q-m) * x^m = 1
+    for k in (0, 1, 2, 8, 9, 2 ** short - 1, 2 ** short, 2 ** (short + 8) + 1):
+        assert x.exp(P.scalar(k)) == double_and_add(x, k)
     for m in (1, 2, 2 ** short - 1, 2 ** short, 2 ** (short + 8) + 1):
         y = x.exp(P.scalar(P.q - m))
-        assert y.value * pow(x.value, m, P.p) % P.p == 1
+        assert y == double_and_add(x, P.q - m)
+        assert y.mul(double_and_add(x, m)).is_identity()
 
 
-def _spy_openssl(monkeypatch) -> list:
-    calls = []
-    real = GroupBackend._openssl_pow
-
-    def spy(backend, x, k):
-        calls.append(k)
-        return real(backend, x, k)
-
-    monkeypatch.setattr(GroupBackend, "_openssl_pow", spy)
-    return calls
-
-
-def test_exp_routes_only_long_prod_exponents_to_openssl(monkeypatch):
-    calls = _spy_openssl(monkeypatch)
-    # OpenSSL refuses the 5-bit test modulus: every power stays on pow
-    for x in B.all_elements():
-        for k in range(B.q):
-            assert x.exp(B.scalar(k)).value == pow(x.value, k, B.p)
-    assert calls == []
-    P = prod_backend()
-    short = 16
-    x = hash_to_group(b"routes", P)
-    for k in (0, 1, 2, 2 ** short - 1, P.q - 1, P.q - 2 ** short + 1):
-        x.exp(P.scalar(k))
-    assert calls == []
-    x.exp(P.scalar(2 ** short))
-    x.exp(P.scalar(P.q - 2 ** short))
-    assert calls == [2 ** short, P.q - 2 ** short]
-
-
-def test_prod_exp_identity_cases_never_reach_openssl(monkeypatch):
-    calls = _spy_openssl(monkeypatch)
-    P = prod_backend()
+def test_prod_exp_identity_cases():
     rng = random.Random(15)
     x = hash_to_group(b"identity cases", P)
-    exponents = [P.scalar(k) for k in (0, 1, 2, P.q - 1, P.q)]
+    exponents = [P.scalar(k) for k in (0, 1, 2, P.q - 1)]
     exponents.append(P.random_scalar(rng))
-    try:  # OpenSSL rejects a secret of 1 with a panic, not an Exception
-        results = [P.identity.exp(s) for s in exponents]
-        results.append(x.exp(P.scalar(0)))
-        results.append(x.exp(P.scalar(P.q)))
-    except BaseException as err:
-        pytest.fail(f"exp raised {type(err).__name__}: {err}")
-    assert all(y == P.identity for y in results)
-    assert calls == []
+    results = [P.identity.exp(s) for s in exponents]
+    results.append(x.exp(P.scalar(0)))
+    results.append(x.power(P.q))
+    assert all(y.is_identity() and y == P.identity for y in results)
 
 
-def test_test_backend_dh_secret_is_the_nonzero_scalar_draw():
-    # q < 2^275 on the test group, so the handshake's draws are unchanged
-    r1, r2 = random.Random(16), random.Random(16)
-    drawn = [B.random_dh_secret(r1) for _ in range(2000)]
-    assert drawn == [B.random_nonzero_scalar(r2) for _ in range(2000)]
-    assert r1.getstate() == r2.getstate()
-    assert {s.value for s in drawn} == set(range(1, B.q))
+def _affine(point: tuple) -> tuple:
+    X, Y, Z, _ = point
+    z_inv = pow(Z, -1, crypto._P)
+    return X * z_inv % crypto._P, Y * z_inv % crypto._P
 
 
-def test_prod_dh_secrets_are_short_and_nonzero():
-    P = prod_backend()
-    rng = random.Random(17)
-    drawn = [P.random_dh_secret(rng).value for _ in range(200)]
-    assert all(1 <= e < 2 ** 275 for e in drawn)
-    assert max(drawn).bit_length() == 275
+def _clamp(b: bytes) -> int:
+    k = int.from_bytes(b, "little")
+    return (k & (2 ** 254 - 8)) | 2 ** 254
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_edwards25519_core_matches_openssl(seed):
+    # Ed25519: the public key is the compressed clamp(SHA-512(seed)[:32]) * B.
+    # X25519: its public u is (1 + y) / (1 - y) of clamp(seed) * B.
+    p = crypto._P
+    secret = random.Random(seed).randbytes(32)
+    base = P.generator.value
+    a = _clamp(hashlib.sha512(secret).digest()[:32])
+    x, y = _affine(crypto._ed_mul(base, a))
+    assert (y | (x & 1) << 255).to_bytes(32, "little") == (
+        Ed25519PrivateKey.from_private_bytes(secret).public_key()
+        .public_bytes_raw())
+    _, y = _affine(crypto._ed_mul(base, _clamp(secret)))
+    u = (1 + y) * pow(1 - y, -1, p) % p
+    assert u.to_bytes(32, "little") == (
+        X25519PrivateKey.from_private_bytes(secret).public_key()
+        .public_bytes_raw())
+
+
+def test_ristretto_constants_satisfy_their_definitions():
+    p, d = crypto._P, crypto._D
+    assert (-121665 - 121666 * d) % p == 0
+    assert crypto._SQRT_M1 ** 2 % p == p - 1
+    assert crypto._SQRT_AD_MINUS_ONE ** 2 % p == (-d - 1) % p
+    assert crypto._INVSQRT_A_MINUS_D ** 2 * (-1 - d) % p == 1
+    assert crypto._ONE_MINUS_D_SQ == (1 - d * d) % p
+    assert crypto._D_MINUS_ONE_SQ == (d - 1) ** 2 % p
+    assert P.q == 2 ** 252 + 27742317777372353535851937790883648493
+
+
+def test_ristretto_encodings_are_canonical():
+    rng = random.Random(16)
+    p = crypto._P
+    points = [hash_to_group(rng.randbytes(8), P) for _ in range(6)]
+    points += [P.generator, P.generator.exp(P.random_scalar(rng))]
+    accepted = []
+    for _ in range(40):
+        b = (rng.randrange(p) & ~1).to_bytes(32, "little")
+        try:
+            accepted.append(P.decode_element(b))
+        except DecodeError:
+            continue
+        assert accepted[-1].encode() == b
+    assert len(accepted) >= 5
+    # E[4] beside the identity: (0, -1) and (+-i, 0)
+    i = crypto._SQRT_M1
+    torsion = [(0, p - 1, 1, 0), (i, 0, 1, 0), (p - i, 0, 1, 0)]
+    for x in points + accepted:
+        e = x.encode()
+        assert P.decode_element(e) == x
+        assert P.decode_element(e).encode() == e
+        # l * x lands in the 4-torsion, the identity's class
+        assert crypto.GroupElement(P, crypto._ed_mul(x.value, P.q)).is_identity()
+        for t in torsion:
+            moved = crypto.GroupElement(P, crypto._ed_add(x.value, t))
+            assert moved.encode() == e and moved == x
+    assert P.identity.encode() == bytes(32)
+    assert P.decode_element(bytes(32)).is_identity()
+    for t in torsion:
+        assert crypto.GroupElement(P, t).is_identity()
+        assert crypto.GroupElement(P, t).encode() == bytes(32)
+
+
+def test_prod_hash_to_group_calls_neither_exp_nor_element(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("hash_to_group reached a counted operation")
+
+    monkeypatch.setattr(crypto.GroupElement, "exp", forbidden)
+    monkeypatch.setattr(crypto.GroupBackend, "element", forbidden)
+    a, b = hash_to_group(b"abc", P), hash_to_group(b"abd", P)
+    assert a == hash_to_group(b"abc", P) and a != b
+    assert len({hash_to_group(bytes([i]), P).encode() for i in range(20)}) == 20
 
 
 def test_sign_verify_roundtrip_tamper_wrongkey():
@@ -244,6 +291,30 @@ def test_signature_negative_matrix():
             sig = sk.sign(m)
             for j, other in enumerate(keys):
                 assert other.verify_key.verify(m, sig) == (i == j)
+
+
+def test_verify_key_parses_once_and_fails_closed(monkeypatch):
+    parsed = []
+    real = crypto.Ed25519PublicKey
+
+    def parse(raw):
+        parsed.append(raw)
+        return real.from_public_bytes(raw)
+
+    monkeypatch.setattr(crypto, "Ed25519PublicKey",
+                        type("Spy", (), {"from_public_bytes": staticmethod(parse)}))
+    sk = SigningKey.generate(random.Random(4))
+    vk = sk.verify_key
+    assert parsed == []
+    assert vk.verify(b"m", sk.sign(b"m")) and not vk.verify(b"n", sk.sign(b"m"))
+    assert parsed == [vk.encode()]
+    # equality and hashing stay on the raw bytes, parsed or not
+    fresh = VerifyKey(vk.encode())
+    assert fresh == vk and hash(fresh) == hash(vk)
+    # y = 2 is on no edwards25519 point: verify says False, every time
+    off_curve = VerifyKey((2).to_bytes(32, "little"))
+    assert not off_curve.verify(b"m", sk.sign(b"m"))
+    assert not off_curve.verify(b"m", bytes(64))
 
 
 def test_aead_roundtrip():
@@ -286,8 +357,9 @@ def test_fin_seq_reserved():
 
 
 def test_prod_backend_group_law():
-    P = prod_backend()
-    assert pow(P.g, P.q, P.p) == 1
+    # B has prime order l on the curve itself, not only up to 4-torsion
+    assert _affine(crypto._ed_mul(P.generator.value, P.q)) == (0, 1)
+    assert not P.generator.is_identity()
     rng = random.Random(3)
     x = hash_to_group(b"order", P)
     a, b = P.random_scalar(rng), P.random_scalar(rng)

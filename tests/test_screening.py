@@ -1,10 +1,11 @@
 """Hazard db, lookups, TOTP backend, and the end-to-end query protocols."""
 
 import random
+from collections import Counter
 
 import pytest
 
-from dnascreen import pki
+from dnascreen import crypto, doprf, pki
 from dnascreen.crypto import TEST_BACKEND, SigningKey
 from dnascreen.doprf import doprf_direct
 from dnascreen.errors import (
@@ -312,3 +313,56 @@ def test_prod_exemption_query_end_to_end():
     expected = world.oracle(order, (covered,))
     assert got.overall == expected.overall == GRANT
     assert got.verdicts == expected.verdicts
+
+
+def count_operations(monkeypatch, query) -> Counter:
+    """Calls of GroupElement.exp outside hash_to_group, GroupBackend.element
+    and VerifyKey.verify made by ``query()``: the operations perfbench pins."""
+    counts = Counter()
+    hashing = []
+    real_hash = crypto.hash_to_group
+
+    def hash_to_group(msg, backend):
+        hashing.append(msg)
+        try:
+            return real_hash(msg, backend)
+        finally:
+            hashing.pop()
+
+    def counted(key, real, skip_in_hash=False):
+        def wrapper(*args):
+            if not (skip_in_hash and hashing):
+                counts[key] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(crypto, "hash_to_group", hash_to_group)
+    monkeypatch.setattr(doprf, "hash_to_group", hash_to_group)
+    monkeypatch.setattr(crypto.GroupElement, "exp",
+                        counted("exp", crypto.GroupElement.exp, True))
+    monkeypatch.setattr(crypto.GroupBackend, "element",
+                        counted("member", crypto.GroupBackend.element))
+    monkeypatch.setattr(crypto.VerifyKey, "verify",
+                        counted("verify", crypto.VerifyKey.verify))
+    query()
+    return counts
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_prod_basic_query_operation_counts(monkeypatch, n):
+    world = build_world(ScenarioConfig(backend_name="prod"), seed=29)
+    order = CLEAN_SEQUENCES[:n]
+    counts = count_operations(monkeypatch,
+                              lambda: world.synth.basic_query(order))
+    assert counts == {"exp": 12 + 6 * n, "member": 6 + 4 * n, "verify": 36}
+
+
+def test_prod_exemption_query_operation_counts(monkeypatch):
+    covered = DEFAULT_HAZARDS[0][0]
+    world = build_world(ScenarioConfig(backend_name="prod",
+                                       elt_sequences=(covered,)), seed=30)
+    order = [covered, CLEAN_SEQUENCES[0]]
+    counts = count_operations(monkeypatch, lambda: world.synth.exemption_query(
+        order, world.elt_chain, world.fresh_code()))
+    m = len(order) + 1  # the order's sequences and the exemption list's one
+    assert counts == {"exp": 16 + 6 * m, "member": 8 + 4 * m, "verify": 42}

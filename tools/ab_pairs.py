@@ -1,6 +1,7 @@
 """Compare two checkouts on the benchmark with concurrent run pairs.
 
-For each seed 1..N, runs ``perfbench/run.py --workload W --seed i`` of
+For each seed K..K+N-1 (1..N by default), runs
+``perfbench/run.py --workload W --seed i`` of
 checkout A and of checkout B at the same time, two processes and no more,
 each pinned to its own core where the host allows it. The two sides swap
 cores from one seed to the next, so a faster core favours neither side.
@@ -15,6 +16,7 @@ quartiles, the ratio of B's median to A's, and the pairs each side won
 
   python3 tools/ab_pairs.py --a ../parent --b .
   python3 tools/ab_pairs.py --a ../parent --workload test-screen
+  python3 tools/ab_pairs.py --a ../parent --first-seed 11   # seeds 11-20
 
 Each run lasts ``run_seconds`` of ``BENCHMARK.json``, as the benchmark's own.
 
@@ -121,13 +123,17 @@ def main(argv=None):
     ap.add_argument("--workload", action="append", choices=workloads,
                     help="workload to run; repeatable (default: all)")
     ap.add_argument("--pairs", type=int, default=10,
-                    help="number of pairs, on seeds 1..N")
+                    help="number of pairs, one per seed")
+    ap.add_argument("--first-seed", type=int, default=1,
+                    help="seed of the first pair; pairs run on seeds "
+                         "K..K+N-1 (default: 1)")
     args = ap.parse_args(argv)
     checkouts = [args.a.resolve(), args.b.resolve()]
     print(f"A = {checkouts[0]}\nB = {checkouts[1]}")
     for workload in args.workload or workloads:
         pairs = [run_pair(checkouts, workload, seed, bench["run_seconds"])
-                 for seed in range(1, args.pairs + 1)]
+                 for seed in range(args.first_seed,
+                                   args.first_seed + args.pairs)]
         print_table(workload, len(pairs), summary(pairs, bench["end_to_end"]))
 
 
