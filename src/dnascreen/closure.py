@@ -47,6 +47,7 @@ class Knowledge:
         self.backend = backend
         self.items: dict[tuple, Known] = {}
         self.by_data: dict[bytes, tuple] = {}  # atom data -> first atom's key
+        self.powered: set[tuple] = set()  # (element key, scalar key) done
 
     # -- building --
 
@@ -78,20 +79,27 @@ class Knowledge:
             changed |= self._exponentiate()
 
     def _exponentiate(self) -> bool:
-        scalars = [t.term for t in self.items.values()
+        """Power each known element by each known scalar and its inverse,
+        once per pair: a later round could only re-add a known term."""
+        scalars = [(k, t.term) for k, t in self.items.items()
                    if isinstance(t.term, Atom) and t.term.kind == "scalar"]
         elements = [(k, t.term) for k, t in self.items.items()
                     if isinstance(t.term, ExpTerm)
                     or (isinstance(t.term, Atom) and t.term.kind == "element")]
         changed = False
         for ek, elt in elements:
+            fresh = [(sk, sc) for sk, sc in scalars
+                     if (ek, sk) not in self.powered]
+            if not fresh:
+                continue
+            self.powered.update((ek, sk) for sk, _ in fresh)
             base = elt.base if isinstance(elt, ExpTerm) else elt
             factors = elt.factors if isinstance(elt, ExpTerm) else ()
             try:
                 x = self.backend.model_decode(elt.data)
             except DecodeError:  # no element: nothing to exponentiate
                 continue
-            for sc in scalars:
+            for sk, sc in fresh:
                 s_val = int.from_bytes(sc.data, "big") % self.backend.q
                 if s_val == 0:
                     continue
@@ -108,7 +116,7 @@ class Knowledge:
                         new_term = ExpTerm(base, new_factors, data)
                     changed |= self.add(new_term,
                                         f"exp[{sc.label}^{sign:+d}]",
-                                        (ek, term_key(sc)))
+                                        (ek, sk))
         return changed
 
     # -- probing --

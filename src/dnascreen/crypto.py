@@ -26,19 +26,34 @@ the inverse of x^(q - e) when q - e is short (at most 16 bits, or half the
 bits of q on a smaller group). That turns an exponent such as q - 1 (the
 Lagrange coefficient -1) into one inverse: on ``prod``, a point negation.
 
-The ``prod`` arithmetic is variable time: scalar multiplication skips zero
-digits and the codecs branch on their inputs. Nothing in this repository
-measures timing side channels; a deployment would use a constant-time
-implementation.
+On ``prod`` a full-length scalar multiplication runs on OpenSSL's X25519
+(RFC 7748): two Montgomery ladders give u(Q) and u(Q + D), and Okeya-Sakurai
+recovery turns them into the whole point Q. X25519 clamps its scalar to
+2^254 + 8m, so the ladders get 8j and 8j + 8 for the one of +-k that has
+8j = +-k (mod l) in that form: the factor 8 clears the 4-torsion a
+ristretto255 representative carries, and the sign is undone on the result.
+Because the two clamped scalars differ by 8, the known difference is
+D = 8P. Short scalars, the identity's class and the ~2^-125 share of
+scalars for which neither of +-k has such a form take the signed radix-16
+multiplication in Python.
+
+The ``prod`` arithmetic is variable time: the choice of +-k, the fallback
+and the short multiplication branch on the scalar, and the codecs branch on
+their inputs; only the ladders themselves are OpenSSL's. Nothing in this
+repository measures timing side channels; a deployment would use a
+constant-time implementation.
 """
 
 import hashlib
-from functools import cached_property
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
+)
+from cryptography.hazmat.primitives.asymmetric.x25519 import (
+    X25519PrivateKey,
+    X25519PublicKey,
 )
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
@@ -290,24 +305,67 @@ def _ed_mul(p1: tuple, k: int) -> tuple:
     return acc
 
 
-def _ed_base_table(base: tuple) -> list:
-    """The digit tables of 16^i * base for i < 64."""
-    rows = []
-    for _ in range(64):
-        rows.append(_digit_table(base, 8))
-        for _ in range(4):
-            base = _ed_double(base)
-    return rows
+# --- full-length multiplication on OpenSSL's X25519 ladder ------------------
+#
+# X25519 (RFC 7748) returns u(k * Q) on curve25519, v^2 = u^3 + A u^2 + u,
+# the Montgomery form of edwards25519 under u = (1 + y) / (1 - y) and
+# v = c u / x with c^2 = -(A + 2). It clamps k to 2^254 + 8m with m < 2^251.
+# The factor 8 clears the 4-torsion part of a ristretto255 representative,
+# so a clamped k' = 8j with 8j = +-k (mod l) lands on +-k times the prime-order
+# part of the point, which is in the class of +-k times the point. One of +-k
+# has such a j for all but a ~2^-125 share of k.
+
+_A = 486662
+_INV8 = pow(8, -1, _L)
+# 8j and 8j + 8 are both clamped scalars exactly for j in [2^251, 2^252 - 1)
+_J_MIN, _J_END = 2 ** 251, 2 ** 252 - 1
 
 
-def _ed_mul_base(rows: list, k: int) -> tuple:
-    """k * base for 0 <= k < 2^255 from base's rows: one addition per
-    nonzero digit and no doubling."""
-    acc = _ED_IDENTITY
-    for row, digit in zip(rows, _radix16(k)):
-        if digit:
-            acc = _ed_add_cached(acc, row[digit])
-    return acc
+def _x25519(k: int, public: X25519PublicKey) -> int:
+    """u(k * Q) for a clamped k, with Q given as an X25519 public key."""
+    private = X25519PrivateKey.from_private_bytes(k.to_bytes(32, "little"))
+    return int.from_bytes(private.exchange(public), "little")
+
+
+def _ladder_mul(p1: tuple, k: int) -> tuple:
+    """k * p1 up to 4-torsion, from two X25519 ladders.
+
+    The ladders give u(Q) and u(Q + D) for Q = 8j * p1 and D = 8 * p1 =
+    (u_D, v_D). Okeya-Sakurai (CHES 2001) recovers Q's v:
+    2 v_D v = (u u_D + 1)(u + u_D + 2A) - 2A - (u - u_D)^2 u(Q + D).
+    The map back, x = c u / v with v_D = c u_D / x_D, squares c out:
+    x = -2(A + 2) u u_D / (x_D * 2 v_D v) and y = (u - 1) / (u + 1).
+
+    It takes ``_ed_mul`` when neither of +-k has a j in [_J_MIN, _J_END),
+    which also keeps Q and Q + D from the identity, and when p1 is in the
+    identity's class (then D is the identity: x_D = 0).
+    """
+    j, sign = k * _INV8 % _L, 1
+    if not _J_MIN <= j < _J_END:
+        j, sign = _L - j, -1
+        if not _J_MIN <= j < _J_END:
+            return _ed_mul(p1, k)
+    P = _P
+    _, Y, Z, _ = p1
+    XD, YD, ZD, _ = _ed_double(_ed_double(_ed_double(p1)))
+    if not XD:
+        return _ed_mul(p1, k)
+    # one inversion for 1 / (Z - Y), 1 / (ZD - YD) and 1 / XD
+    a, b = Z - Y, ZD - YD
+    ab = a * b % P
+    inv = pow(ab * XD, -1, P)
+    u_p = (Z + Y) * b % P * XD % P * inv % P
+    u_d = (ZD + YD) * a % P * XD % P * inv % P
+    x_d_inv = ZD * ab % P * inv % P
+    public = X25519PublicKey.from_public_bytes(u_p.to_bytes(32, "little"))
+    u = _x25519(8 * j, public)
+    u_next = _x25519(8 * j + 8, public)
+    two_vd_v = ((u * u_d + 1) * (u + u_d + 2 * _A) - 2 * _A
+                - (u - u_d) ** 2 * u_next) % P
+    # x = w / two_vd_v; the sign of w picks Q or -Q
+    w = -2 * (_A + 2) * sign * u * u_d % P * x_d_inv % P
+    return (w * (u + 1) % P, two_vd_v * (u - 1) % P,
+            two_vd_v * (u + 1) % P, w * (u - 1) % P)
 
 
 def _ristretto_decode(s: int) -> tuple:
@@ -395,14 +453,10 @@ class Ristretto255(GroupBackend):
     _mul = staticmethod(_ed_add)
     _inv = staticmethod(_ed_neg)
 
-    @cached_property
-    def _base_rows(self) -> list:
-        return _ed_base_table(self.generator.value)
-
     def _pow(self, v: tuple, k: int) -> tuple:
-        if v is self.generator.value:
-            return _ed_mul_base(self._base_rows, k)
-        return _ed_mul(v, k)
+        if k.bit_length() <= self.short_exp_bits:
+            return _ed_mul(v, k)
+        return _ladder_mul(v, k)
 
     @staticmethod
     def _is_identity(p1: tuple) -> bool:

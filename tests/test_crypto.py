@@ -157,7 +157,8 @@ def test_signed_exponent_matches_plain_power(name):
 
 def test_prod_exp_matches_plain_power_on_both_routes():
     # a short q - k takes the inverse of x^(q - k), here a point negation;
-    # every other k runs the signed radix-16 multiplication
+    # a short k runs the signed radix-16 multiplication, and every other k
+    # the X25519 ladder
     rng = random.Random(14)
     short = P.short_exp_bits
     assert short == 16
@@ -183,6 +184,11 @@ def test_prod_exp_identity_cases():
     results.append(x.exp(P.scalar(0)))
     results.append(x.power(P.q))
     assert all(y.is_identity() and y == P.identity for y in results)
+
+
+# E[4] beside the identity: (0, -1) and (+-i, 0)
+TORSION = [(0, crypto._P - 1, 1, 0), (crypto._SQRT_M1, 0, 1, 0),
+           (crypto._P - crypto._SQRT_M1, 0, 1, 0)]
 
 
 def _affine(point: tuple) -> tuple:
@@ -240,23 +246,88 @@ def test_ristretto_encodings_are_canonical():
             continue
         assert accepted[-1].encode() == b
     assert len(accepted) >= 5
-    # E[4] beside the identity: (0, -1) and (+-i, 0)
-    i = crypto._SQRT_M1
-    torsion = [(0, p - 1, 1, 0), (i, 0, 1, 0), (p - i, 0, 1, 0)]
     for x in points + accepted:
         e = x.encode()
         assert P.decode_element(e) == x
         assert P.decode_element(e).encode() == e
         # l * x lands in the 4-torsion, the identity's class
         assert crypto.GroupElement(P, crypto._ed_mul(x.value, P.q)).is_identity()
-        for t in torsion:
+        for t in TORSION:
             moved = crypto.GroupElement(P, crypto._ed_add(x.value, t))
             assert moved.encode() == e and moved == x
     assert P.identity.encode() == bytes(32)
     assert P.decode_element(bytes(32)).is_identity()
-    for t in torsion:
+    for t in TORSION:
         assert crypto.GroupElement(P, t).is_identity()
         assert crypto.GroupElement(P, t).encode() == bytes(32)
+
+
+# RFC 9496 Appendix A.1: the encodings of 0B, B, 2B and 3B
+RFC9496_MULTIPLES = [
+    "00" * 32,
+    "e2f2ae0a6abc4e71a884a961c500515f58e30b6aa582dd8db6a65945e08d2d76",
+    "6a493210f7499cd17fecb510ae0cea23a110e8d5b901f8acadd3095c73a3b919",
+    "94741f5d5d52755ece4f23f044ee27d5d1ea1e2bd196b462166b16152a9d0259",
+]
+
+
+def test_prod_generator_multiples_match_rfc9496():
+    g = P.generator
+    acc = P.identity
+    for i, expected in enumerate(RFC9496_MULTIPLES):
+        assert g.exp(P.scalar(i)).encode().hex() == expected
+        assert acc.encode().hex() == expected
+        # l + i: the same multiple through the X25519 ladder
+        ladder = crypto.GroupElement(P, P._pow(g.value, P.q + i))
+        assert ladder.encode().hex() == expected
+        acc = acc.mul(g)
+
+
+# short, at the edges of the X25519 route's scalar ranges, and 2^255 mod l,
+# which neither k nor -k reaches as a clamped scalar
+EDGE_SCALARS = (1, 2, 8, 2 ** 16, P.q - 2 ** 16, P.q - 8, P.q - 1,
+                2 ** 255 % P.q)
+
+
+def _encode(point: tuple) -> bytes:
+    return crypto.GroupElement(P, point).encode()
+
+
+def test_prod_pow_matches_ed_mul():
+    # hashed points, generator multiples, and each of them moved by every
+    # 4-torsion point, against the signed radix-16 reference
+    rng = random.Random(17)
+    points = [hash_to_group(rng.randbytes(8), P).value for _ in range(3)]
+    points += [P.generator.value, P.generator.exp(P.random_scalar(rng)).value]
+    points += [crypto._ed_add(v, t) for v in points for t in TORSION]
+    for v in points:
+        ks = [rng.randrange(P.q) for _ in range(4)] + list(EDGE_SCALARS)
+        for k in ks:
+            assert _encode(P._pow(v, k)) == _encode(crypto._ed_mul(v, k))
+    for v in [P.identity.value] + TORSION:
+        for k in [rng.randrange(P.q) for _ in range(4)] + list(EDGE_SCALARS):
+            assert _encode(P._pow(v, k)) == bytes(32)
+
+
+def test_prod_long_scalars_take_the_x25519_ladder(monkeypatch):
+    fallbacks = []
+    ed_mul = crypto._ed_mul
+    monkeypatch.setattr(crypto, "_ed_mul",
+                        lambda v, k: fallbacks.append(k) or ed_mul(v, k))
+    rng = random.Random(18)
+    x = hash_to_group(b"routes", P).value
+    for v in (x, P.generator.value):
+        for _ in range(24):
+            P._pow(v, rng.randrange(2 ** 17, P.q))
+    assert fallbacks == []
+    # the short route, no clamped representative, u(Q + D) at the identity,
+    # and the identity's class
+    short, degenerate = 2 ** 16 - 1, [2 ** 255 % P.q, P.q - 8]
+    for k in [short, *degenerate]:
+        P._pow(x, k)
+    k = rng.randrange(2 ** 17, P.q)
+    P._pow(P.identity.value, k)
+    assert fallbacks == [short, *degenerate, k]
 
 
 def test_prod_hash_to_group_calls_neither_exp_nor_element(monkeypatch):

@@ -5,7 +5,7 @@ import weakref
 
 import pytest
 
-from dnascreen import attacks, channel, scep, screening, terms
+from dnascreen import attacks, channel, closure, crypto, scep, screening, terms
 from dnascreen.closure import Knowledge, build_knowledge, secrecy_probe
 from dnascreen.crypto import TEST_BACKEND, aead_seal
 from dnascreen.errors import ScriptError
@@ -261,6 +261,46 @@ def test_knowledge_monotone_in_inputs():
         terms.key_atom(b"\x99" * 32), "extra")
     kn_big = build_knowledge(net, result.world.backend)
     assert set(kn_small.items.keys()) <= set(kn_big.items.keys())
+
+
+class _RepowerEveryRound(Knowledge):
+    """The closure as it was: every round powers every pair again."""
+
+    def _exponentiate(self):
+        self.powered.clear()
+        return super()._exponentiate()
+
+
+@pytest.mark.parametrize("name, powers, repowers", [
+    ("mitm-scep", 332, 1164),
+    ("mitm-scep-plus", 120, 358),
+])
+def test_closure_powers_each_pair_once(monkeypatch, name, powers, repowers):
+    # the scenario's own closure, rebuilt from its network with a count of
+    # GroupElement.power: a pair powered in an earlier round is skipped, and
+    # the items, their rules and parents stay those of re-powering every round
+    built = []
+    real_build = closure.build_knowledge
+    monkeypatch.setattr(closure, "build_knowledge",
+                        lambda net, backend: built.append((net, backend))
+                        or real_build(net, backend))
+    attacks.all_scenarios()[name](3)
+    (net, backend), = built
+
+    calls = []
+    real_power = crypto.GroupElement.power
+    monkeypatch.setattr(crypto.GroupElement, "power",
+                        lambda x, k: calls.append(k) or real_power(x, k))
+    runs = []
+    for cls in (Knowledge, _RepowerEveryRound):
+        monkeypatch.setattr(closure, "Knowledge", cls)
+        calls.clear()
+        kn = real_build(net, backend)
+        runs.append(([(k, v.rule, v.parents) for k, v in kn.items.items()],
+                     len(calls)))
+    (items, n), (old_items, old_n) = runs
+    assert (n, old_n) == (powers, repowers)
+    assert items == old_items
 
 
 def test_record_slot_uniqueness_bookkeeping():
