@@ -3,8 +3,9 @@
 A corrupt role keeps its legitimate credentials (it is a certified, possibly
 compromised operator), exports its keys into the adversary's initial
 knowledge, and follows the attack script instead of its state machine.
-Every attack declares its assertions up front and reports pass/fail with
-evidence pointers into the transcript.
+Every attack is a scenario script: the run's check pass judges it, the
+attack names the checks it predicts to be violated, and its outcome token
+is read off the run.
 """
 
 from dataclasses import replace
@@ -12,7 +13,12 @@ from types import SimpleNamespace
 
 from . import terms, wire
 from .channel import channel_recv, channel_send, handshake_client
-from .errors import RateLimited, ScreeningError, ScriptError
+from .errors import (
+    RateLimited,
+    ResponseBindingMismatch,
+    ScreeningError,
+    ScriptError,
+)
 from .pki import CertChain
 from .scep import (
     SCEP,
@@ -30,19 +36,17 @@ from .scenarios import (
     CLEAN_SEQUENCES,
     DEFAULT_HAZARDS,
     ScenarioConfig,
-    ScenarioOutcome,
     ScenarioResult,
     World,
-    build_world,
-    key_slot_uniqueness_assertion,
-    matching_client_sessions,
+    agreement_assertions,
+    build_world,  # noqa: F401 (perfbench traces it here)
+    key_slot_uniqueness_assertion,  # noqa: F401 (perfbench traces it here)
+    run_scenario,
     scenario_honest_basic,
     scenario_honest_exemption,
-    secrecy_assertions,
+    secrecy_assertions,  # noqa: F401 (perfbench traces it here)
 )
 from .screening import (
-    DENY,
-    GRANT,
     HashedDbRole,
     KeyserverRole,
     QueryRequest,
@@ -50,8 +54,11 @@ from .screening import (
     open_reply,
     raise_error_record,
 )
-from .simnet import Selector, TapRule
 from .terms import Payload
+
+# perfbench/bench_trace.py wraps this name; the one agreement checker is
+# scenarios.agreement_assertions.
+_unmatched_authenticated_sessions = agreement_assertions
 
 
 # --- corrupt-role strategies ----------------------------------------------------
@@ -76,7 +83,6 @@ class MitmKeyserver(KeyserverRole):
         self.__dict__.update(honest.__dict__)
         self.channel_ca_key = world.channel_ca.verify_key
         self.target = others[0]
-        self.stage_log: list[str] = []
         self.step6_result: str | None = None
         self.drained = 0
         self.attack_cookie: bytes | None = None
@@ -100,7 +106,6 @@ class MitmKeyserver(KeyserverRole):
         omega_w, r_w, w_chain, w_sig = decode_respond(respond)
         self._target_state = (conn, session, omega_w, r_w, w_chain)
         self.attack_cookie = omega_w
-        self.stage_log.append("replayed-hello-and-got-challenge")
         return omega_w, r_w
 
     # step [6]: present the harvested signature
@@ -109,14 +114,12 @@ class MitmKeyserver(KeyserverRole):
         result = conn.send(channel_send(session, encode_finish(omega_w, y)))
         if result is None:
             self.step6_result = "Authenticated"
-            self.stage_log.append("target-authenticated-us-as-client")
         else:
             try:
                 open_reply(session, result)
                 self.step6_result = "UnexpectedReply"
             except ScreeningError as err:
                 self.step6_result = type(err).__name__
-                self.stage_log.append(f"target-rejected: {self.step6_result}")
 
     def attack_drain_budget(self):
         """Spend the victim's window budget at the target, greedily to zero."""
@@ -139,7 +142,6 @@ class MitmKeyserver(KeyserverRole):
                 self.drained += batch
             except RateLimited:
                 batch //= 2
-        self.stage_log.append(f"drained-{self.drained}")
 
 
 class _MitmConnection(ServerConnection):
@@ -148,7 +150,6 @@ class _MitmConnection(ServerConnection):
         if self.scep is None:
             # step [1]: the client volunteers its nonce and token chain
             r_s, client_chain, _extra = decode_hello(request.data)
-            role.stage_log.append("harvested-hello")
             omega_w, r_w = role.attack_open_target_session(request)
             # step [4]: answer the client with our own token but the
             # target's cookie and nonce, signed by our own token key
@@ -162,7 +163,6 @@ class _MitmConnection(ServerConnection):
                                 encode_respond(omega_w, r_w, cfg.chain, sig))
         # step [5]: the client's finish carries the critical signature y
         _omega_echo, y = decode_finish(request.data)
-        role.stage_log.append("harvested-client-signature")
         role.attack_present_finish(y)
         role.attack_drain_budget()
         # keep serving the client so it suspects nothing
@@ -179,6 +179,7 @@ class LeakyHashedDb(HashedDbRole):
     def __init__(self, honest: HashedDbRole, world: World):
         self.__dict__.update(honest.__dict__)
         self.stolen: list[tuple[str, str, int]] = []
+        self.replays: list[bool] = []  # whether the backend accepted each
 
     def _query(self, conn: ServerConnection, request: Payload,
                fields_: list) -> Payload:
@@ -190,10 +191,12 @@ class LeakyHashedDb(HashedDbRole):
             self.net.note("corrupt database stored the device code")
         return super()._query(conn, request, fields_)
 
-    def replay_stolen_code(self) -> bool:
-        """Present the captured (device, code) to the backend as our own."""
+    def replay_stolen_code(self):
+        """Present the last captured (device, code) to the backend as ours."""
+        if not self.stolen:
+            raise ScriptError("no device code has been stolen yet")
         device_id, code, _ = self.stolen[-1]
-        return self._auth_check(device_id, code, self.net.now())
+        self.replays.append(self._auth_check(device_id, code, self.net.now()))
 
 
 # Each strategy is a subclass of the one honest role class it can corrupt,
@@ -222,6 +225,10 @@ def apply_corruption(world: World):
 # --- attack scenarios -----------------------------------------------------------
 
 
+def _hex_order(order) -> str:
+    return ",".join(s.hex() for s in order)
+
+
 def attack_mitm_rate_limit(variant: str = SCEP, seed: int = 7,
                            base: ScenarioConfig | None = None
                            ) -> ScenarioResult:
@@ -229,93 +236,36 @@ def attack_mitm_rate_limit(variant: str = SCEP, seed: int = 7,
 
     Under SCEP the target authenticates the adversary as the honest
     synthesizer and the synthesizer's ledger entry absorbs the adversary's
-    queries; under SCEP+ the harvested signature covers the corrupt
-    server's token, so the final step fails verification.
+    queries; under SCEP+ the harvested signature covers the corrupt server's
+    token, so the final step fails verification.
     """
-    config = replace(base or ScenarioConfig(), scep_variant=variant,
-                     corrupt={"K1": "mitm"})
-    world = build_world(config, seed)
-    mitm: MitmKeyserver = world.keyservers["K1"]
-    target: KeyserverRole = world.keyservers[mitm.target]
-    sigma = world.synth.chain.token.sigma
-    mu = world.synth.chain.token.payload.rate_limit
-
+    config = replace(base or ScenarioConfig(), scep_variant=variant)
     order = [DEFAULT_HAZARDS[0][0], CLEAN_SEQUENCES[0]]
-    world.register_order_secrets(order)
-    query_error = None
-    response = None
-    try:
-        response = world.synth.basic_query(order)
-    except ScreeningError as err:
-        query_error = err.with_traceback(None)  # its frames hold the world
-        world.net.note(f"victim query failed: {type(err).__name__}")
-
-    assertions = []
+    script = f"corrupt K1 mitm\nquery S {_hex_order(order)}"
+    # under SCEP the victim's query is denied, the relayed cookie leaks, and
+    # the target K2 authenticated the relay, its first session, for no client
+    violated = (("query-1-matches-oracle", "cookie-secrecy", "agreement:K2:0",
+                 "rate-limit-attribution") if variant == SCEP else ())
+    result = run_scenario(config, script, seed, f"mitm-rate-limit-{variant}",
+                          violated)
+    world, outcome = result.world, result.outcome
+    mitm: MitmKeyserver = world.keyservers["K1"]
     if variant == SCEP:
-        assertions.append(Assertion(
-            "server-authenticated-adversary-as-victim",
-            mitm.step6_result == "Authenticated",
-            f"step [6] outcome: {mitm.step6_result}"))
-        debited = target.ledger.window_total(sigma, world.net.now())
-        assertions.append(Assertion(
-            "victim-ledger-debited-by-adversary",
-            mitm.drained > 0 and debited == mitm.drained,
-            f"adversary spent {mitm.drained} of mu={mu}; "
-            f"target ledger shows {debited} under the victim's sigma"))
-        assertions.append(Assertion(
-            "victim-budget-exhausted-up-to-mu", debited == mu,
-            f"window total {debited} == mu {mu}"))
-        assertions.append(Assertion(
-            "victim-query-denied-by-stolen-budget",
-            isinstance(query_error, RateLimited),
-            f"victim's own query outcome: "
-            f"{type(query_error).__name__ if query_error else response.overall}"))
-        # The structural failure itself: the authenticated session at the
-        # target has no matching honest client session.
-        unmatched = _unmatched_authenticated_sessions(world)
-        assertions.append(Assertion(
-            "no-honest-client-session-agrees", len(unmatched) == 1
-            and unmatched[0]["session"].omega == mitm.attack_cookie,
-            f"{len(unmatched)} authenticated sessions lack a matching client"))
-        assertions += secrecy_assertions(world, expect_cookie_leak=True)
-    else:
-        assertions.append(Assertion(
-            "attack-blocked-at-step-6",
-            mitm.step6_result == "BadClientSig",
-            f"step [6] outcome: {mitm.step6_result}"))
-        assertions.append(Assertion(
-            "victim-query-unaffected",
-            query_error is None and response is not None
-            and response.overall == world.oracle(order).overall,
-            "victim verdict matches the oracle" if query_error is None
-            else f"victim query raised {type(query_error).__name__}"))
-        assertions.append(Assertion(
-            "no-adversary-budget-spent", mitm.drained == 0,
-            f"adversary drained {mitm.drained}"))
-        assertions += _full_agreement_assertion(world)
-        assertions += secrecy_assertions(world, expect_cookie_leak=False)
-
-    token = ("ATTACK_SUCCEEDED" if variant == SCEP else
-             f"ATTACK_BLOCKED:{mitm.step6_result}")
-    outcome = ScenarioOutcome(f"mitm-rate-limit-{variant}", assertions,
-                              token=token)
-    return ScenarioResult(outcome.name, world, outcome,
-                          world.net.transcript.render())
-
-
-def _unmatched_authenticated_sessions(world: World) -> list:
-    """Authenticated honest-server sessions without exactly one client."""
-    net = world.net
-    return [entry for _, entry in net.honest_authenticated_sessions()
-            if len(matching_client_sessions(net, entry)) != 1]
-
-
-def _full_agreement_assertion(world: World) -> list:
-    unmatched = _unmatched_authenticated_sessions(world)
-    return [Assertion(
-        "injective-agreement-holds", not unmatched,
-        f"{len(unmatched)} authenticated sessions lack a matching client"
-        if unmatched else "every authenticated session has its one client")]
+        debited = world.keyservers[mitm.target].ledger.window_total(
+            world.synth.chain.token.sigma, world.net.now())
+        mu = config.rate_limit
+        outcome.assertions += [
+            Assertion("victim-ledger-debited-by-adversary",
+                      mitm.drained > 0 and debited == mitm.drained,
+                      f"adversary spent {mitm.drained} of mu={mu}; target "
+                      f"ledger shows {debited} under the victim's sigma"),
+            Assertion("victim-budget-exhausted-up-to-mu", debited == mu,
+                      f"window total {debited} == mu {mu}"),
+        ]
+    outcome.token = ("ATTACK_SUCCEEDED" if outcome.violated("agreement:")
+                     and outcome.violated("rate-limit-attribution")
+                     else f"ATTACK_BLOCKED:{mitm.step6_result}")
+    return result
 
 
 def attack_response_swap(resumption: bool, binding: bool, seed: int = 11,
@@ -332,66 +282,28 @@ def attack_response_swap(resumption: bool, binding: bool, seed: int = 11,
     """
     config = replace(base or ScenarioConfig(), resumption=resumption,
                      bind_responses=binding)
-    world = build_world(config, seed)
-    net = world.net
-
-    clean_order = [CLEAN_SEQUENCES[0]]
-    hazard_order = [DEFAULT_HAZARDS[0][0]]
-    world.register_order_secrets(clean_order + hazard_order)
-
     # response records live at (s2c, seq 1) on the S->H link
-    net.add_tap(TapRule(Selector("S->H", "s2c", 0, rec_seq=1), "capture",
-                        name="first-response"))
-    net.add_tap(TapRule(Selector("S->H", "s2c", 1, rec_seq=1), "replace",
-                        name="first-response"))
-
-    first = world.synth.basic_query(clean_order)
-    assert first.overall == GRANT
-    swap_outcome = None
-    second = None
-    try:
-        second = world.synth.basic_query(hazard_order, resume_hdb=True)
-        swap_outcome = "accepted"
-    except ScreeningError as err:
-        swap_outcome = type(err).__name__
-        net.note(f"second query failed: {swap_outcome}")
-
-    oracle = world.oracle(hazard_order)
-    assertions = [Assertion(
-        "first-query-grants-clean-order", first.overall == GRANT,
-        "baseline query behaves")]
-
-    if resumption and not binding:
-        inverted = (second is not None and second.overall == GRANT
-                    and oracle.overall == DENY)
-        assertions.append(Assertion(
-            "synthesizer-accepts-inverted-verdict", inverted,
-            f"synthesizer saw {second.overall if second else swap_outcome}, "
-            f"oracle says {oracle.overall}"))
-        token = "VERDICT_INVERTED"
-    elif resumption and binding:
-        assertions.append(Assertion(
-            "swap-detected-by-response-binding",
-            swap_outcome == "ResponseBindingMismatch",
-            f"second query outcome: {swap_outcome}"))
-        token = "SWAP_DETECTED"
-    else:
-        assertions.append(Assertion(
-            "resumption-disabled-error-observed",
-            any("ResumptionDisabled" in n for n in net.notes),
-            f"notes: {net.notes}"))
-        assertions.append(Assertion(
-            "swap-rejected-by-key-mismatch",
-            swap_outcome == "AuthenticationFailure",
-            f"second query outcome: {swap_outcome}"))
-        assertions.append(key_slot_uniqueness_assertion(world))
-        token = "SWAP_REJECTED"
-
-    assertions += secrecy_assertions(world)
+    script = "\n".join([
+        "swap S->H:s2c:0:r1 S->H:s2c:1:r1",
+        f"query S {CLEAN_SEQUENCES[0].hex()}",
+        "resume-next S",
+        f"query S {DEFAULT_HAZARDS[0][0].hex()}",
+    ])
     name = (f"response-swap-resumption-{'on' if resumption else 'off'}"
             f"-binding-{'on' if binding else 'off'}")
-    outcome = ScenarioOutcome(name, assertions, token=token)
-    return ScenarioResult(name, world, outcome, net.transcript.render())
+    result = run_scenario(config, script, seed, name,
+                          violated=("query-2-matches-oracle",))
+    second = result.replies[1]
+    if isinstance(second, ResponseBindingMismatch):
+        token = "SWAP_DETECTED"
+    elif isinstance(second, ScreeningError):
+        token = "SWAP_REJECTED"
+    elif result.outcome.violated("query-2-matches-oracle"):
+        token = "VERDICT_INVERTED"
+    else:
+        token = "VERDICT_KEPT"  # the swap changed nothing the oracle sees
+    result.outcome.token = token
+    return result
 
 
 def attack_passcode_replay(seed: int = 13,
@@ -405,35 +317,26 @@ def attack_passcode_replay(seed: int = 13,
     """
     base = base or ScenarioConfig()
     covered = base.hazards[0][0]
-    config = replace(base, corrupt={"H": "leaky"}, elt_sequences=(covered,))
-    world = build_world(config, seed)
-    hdb: LeakyHashedDb = world.hdb
-
-    order = [covered, CLEAN_SEQUENCES[0]]
-    world.register_order_secrets(order)
-    response = world.synth.exemption_query(order, world.elt_chain,
-                                           world.fresh_code())
-    oracle = world.oracle(order, tuple(config.elt_sequences))
-
-    replay_same_window = hdb.replay_stolen_code()
-    world.net.advance_clock(30)
-    replay_next_window = hdb.replay_stolen_code()
-
-    assertions = [
-        Assertion("honest-exemption-flow-grants",
-                  response.overall == oracle.overall == GRANT,
-                  f"synthesizer saw {response.overall}"),
-        Assertion("stolen-code-accepted-within-window", replay_same_window,
+    config = replace(base, elt_sequences=(covered,))
+    script = "\n".join([
+        "corrupt H leaky",
+        f"query-exempt S {_hex_order([covered, CLEAN_SEQUENCES[0]])} "
+        "code=fresh",
+        "replay-code H",
+        "advance-clock 30",
+        "replay-code H",
+    ])
+    result = run_scenario(config, script, seed, "passcode-replay")
+    same_window, next_window = result.world.hdb.replays
+    result.outcome.assertions += [
+        Assertion("stolen-code-accepted-within-window", same_window,
                   "backend accepted the replayed code"),
-        Assertion("stolen-code-rejected-next-window", not replay_next_window,
+        Assertion("stolen-code-rejected-next-window", not next_window,
                   "backend rejected the stale window"),
     ]
-    assertions += secrecy_assertions(world)
-    outcome = ScenarioOutcome("passcode-replay", assertions,
-                              token="REPLAY_ACCEPTED" if replay_same_window
-                              else "REPLAY_REJECTED")
-    return ScenarioResult(outcome.name, world, outcome,
-                          world.net.transcript.render())
+    result.outcome.token = ("REPLAY_ACCEPTED" if same_window
+                            else "REPLAY_REJECTED")
+    return result
 
 
 def attack_token_collision_dos(forced: bool = True, seed: int = 17,
@@ -441,7 +344,7 @@ def attack_token_collision_dos(forced: bool = True, seed: int = 17,
                                ) -> ScenarioResult:
     """Identifier collision merges two tokens' ledger entries.
 
-    The adversary synthesizer mints its own valid token whose identifier
+    The adversary synthesizer S2 mints its own valid token whose identifier
     collides with the honest one (the issuing rng is forced), burns the
     shared window budget, and the honest synthesizer's next query is denied.
     With distinct identifiers the budgets stay independent.
@@ -450,72 +353,29 @@ def attack_token_collision_dos(forced: bool = True, seed: int = 17,
     if config.rate_limit > 5000:
         raise ScriptError("budget exhaustion is a desk-scale demonstration; "
                           "use --rate-limit <= 5000")
-    world = build_world(config, seed)
-    net = world.net
-    sigma = world.synth.chain.token.sigma
-    adversary = world.add_synthesizer(
-        "S2", config.rate_limit, forced_sigma=sigma if forced else None)
-
     order = [CLEAN_SEQUENCES[0], CLEAN_SEQUENCES[1]]
-    world.register_order_secrets(order)
-    first = world.synth.basic_query(order)
-
-    # Burn the (possibly shared) window budget down to exactly mu: the
-    # adversary knows mu from its own token.
-    remaining = config.rate_limit - len(order)
-    while remaining > 0:
-        n = min(remaining, 12)
-        adversary.basic_query([CLEAN_SEQUENCES[2][:6 + i] for i in range(n)])
-        remaining -= n
-        net.advance_clock(1)
-
-    k1 = world.keyservers["K1"]
-    merged_total = k1.ledger.window_total(sigma, net.now())
-    victim_error = None
-    try:
-        second = world.synth.basic_query([CLEAN_SEQUENCES[0]])
-    except ScreeningError as err:
-        victim_error = err.with_traceback(None)  # its frames hold the world
-
-    both_authenticated = {
-        e["auth"].client_name
-        for e in net.server_sessions.values()
-        if e["auth"] is not None and e["auth"].sigma == sigma}
-
-    assertions = [
-        Assertion("first-honest-query-grants", first.overall == GRANT, ""),
-    ]
-    if forced:
-        assertions += [
-            Assertion("both-tokens-authenticate-independently",
-                      both_authenticated == {"S", "S2"},
-                      f"sessions under this sigma: {sorted(both_authenticated)}"),
-            Assertion("ledger-entries-merge-under-one-sigma",
-                      merged_total == config.rate_limit,
-                      f"keyserver ledger shows {merged_total} for the shared "
-                      f"sigma"),
-            Assertion("honest-token-denied-after-merge",
-                      isinstance(victim_error, RateLimited),
-                      f"victim's follow-up query: "
-                      f"{type(victim_error).__name__ if victim_error else 'allowed'}"),
-        ]
-        token = "BUDGET_MERGED"
-    else:
-        assertions += [
-            Assertion("distinct-sigmas-keep-budgets-independent",
-                      victim_error is None and second.overall == GRANT,
-                      f"victim's follow-up query: "
-                      f"{type(victim_error).__name__ if victim_error else second.overall}"),
-            Assertion("victim-ledger-untouched-by-adversary",
-                      merged_total == len(order),
-                      f"keyserver ledger shows {merged_total} for the "
-                      f"victim's sigma"),
-        ]
-        token = "INDEPENDENT_BUDGETS"
-    assertions += secrecy_assertions(world)
+    # S2 spends the (possibly shared) window budget down to exactly mu: the
+    # adversary knows mu from its own token
+    spend = config.rate_limit - len(order)
+    burn = []
+    for done in range(0, spend, 12):
+        n = min(12, spend - done)
+        seqs = [CLEAN_SEQUENCES[2][:6 + i] for i in range(n)]
+        burn += [f"query S2 {_hex_order(seqs)}", "advance-clock 1"]
+    script = "\n".join([
+        f"add-synth S2{' forced' if forced else ''}",
+        f"query S {_hex_order(order)}",
+        *burn,
+        f"query S {CLEAN_SEQUENCES[0].hex()}",
+    ])
+    victim = f"query-{len(burn) // 2 + 2}-matches-oracle"
+    violated = (victim, "rate-limit-attribution") if forced else ()
     name = f"token-collision-{'forced' if forced else 'distinct'}"
-    outcome = ScenarioOutcome(name, assertions, token=token)
-    return ScenarioResult(name, world, outcome, net.transcript.render())
+    result = run_scenario(config, script, seed, name, violated)
+    result.outcome.token = (
+        "BUDGET_MERGED" if result.outcome.violated("rate-limit-attribution")
+        else "INDEPENDENT_BUDGETS")
+    return result
 
 
 # --- the shipped scenario registry ------------------------------------------------

@@ -1,10 +1,10 @@
 """Command-line front door: PKI workshop, scenario runs, attack drills.
 
 Every command finishes with a machine-parsable ``OUTCOME: <token>`` line.
-Attack commands exit 0 when the outcome matches the expected result for the
-chosen flag combination (including expected blocks), so a harness can
-assert the whole matrix. All randomness flows from --seed; nothing in a
-scenario path reads the wall clock.
+Attack commands exit 0 when every check of the run came out as the attack
+predicts for the chosen flag combination (including expected blocks), so a
+harness can assert the whole matrix. All randomness flows from --seed;
+nothing in a scenario path reads the wall clock.
 """
 
 import argparse
@@ -392,35 +392,20 @@ def cmd_attack(args) -> int:
     if cmd == "mitm":
         result = attacks.attack_mitm_rate_limit(args.scep_variant, args.seed,
                                                 base=base)
-        expected = ("ATTACK_SUCCEEDED" if args.scep_variant == SCEP
-                    else "ATTACK_BLOCKED:BadClientSig")
-        headline = ("ATTACK SUCCEEDED" if args.scep_variant == SCEP
-                    else "ATTACK BLOCKED: BadClientSig")
     elif cmd == "swap":
         result = attacks.attack_response_swap(args.resumption,
                                               args.bind_responses, args.seed,
                                               base=base)
-        expected = ("VERDICT_INVERTED" if args.resumption
-                    and not args.bind_responses
-                    else "SWAP_DETECTED" if args.resumption
-                    else "SWAP_REJECTED")
-        headline = expected.replace("_", " ")
     elif cmd == "passcode":
         result = attacks.attack_passcode_replay(args.seed, base=base)
-        expected = "REPLAY_ACCEPTED"
-        headline = "REPLAY ACCEPTED"
     else:
         result = attacks.attack_token_collision_dos(not args.distinct,
                                                     args.seed, base=base)
-        expected = ("INDEPENDENT_BUDGETS" if args.distinct
-                    else "BUDGET_MERGED")
-        headline = expected.replace("_", " ")
-    print(headline)
-    _emit(result, args.out)
     token = result.outcome.token
-    ok = result.outcome.ok and token == expected
+    print(token.replace("_", " ").replace(":", ": "))
+    _emit(result, args.out)
     print(f"OUTCOME: {token}")
-    return 0 if ok else 1
+    return 0 if result.outcome.ok else 1
 
 
 def main(argv=None) -> int:

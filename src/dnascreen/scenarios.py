@@ -3,11 +3,14 @@
 A world is one synthesizer S, keyservers K1..Kn, the hashed database H, and
 the authentication backend A, wired up with fresh hierarchies, a shared
 DOPRF key split (t, n), and a deterministic clock. Scenario scripts drive
-queries and adversary actions; every scenario declares its assertions and
-ships its transcript.
+queries and adversary actions. Every run ends with one check pass (oracle
+agreement of each query, order and cookie secrecy, injective agreement,
+rate-limit attribution and, without resumption, record-slot uniqueness); a
+scenario names the checks it predicts to be violated, and ships its
+transcript.
 """
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
 
 from . import closure, pki
@@ -73,8 +76,9 @@ class ScenarioConfig:
 @dataclass
 class Assertion:
     id: str
-    passed: bool
+    passed: bool  # the check held
     evidence: str = ""
+    expected: bool = True  # False where the scenario predicts a violation
 
 
 @dataclass
@@ -85,12 +89,19 @@ class ScenarioOutcome:
 
     @property
     def ok(self) -> bool:
-        return all(a.passed for a in self.assertions)
+        """Every check came out as the scenario predicted."""
+        return all(a.passed == a.expected for a in self.assertions)
+
+    def violated(self, prefix: str) -> bool:
+        """Whether a check whose id starts with ``prefix`` was violated."""
+        return any(not a.passed and a.id.startswith(prefix)
+                   for a in self.assertions)
 
     def render(self) -> str:
         lines = [f"scenario: {self.name}"]
         for a in self.assertions:
-            mark = "PASS" if a.passed else "FAIL"
+            mark = (("PASS" if a.passed else "FAIL") if a.expected
+                    else ("XPASS" if a.passed else "XFAIL"))
             lines.append(f"  [{mark}] {a.id}" +
                          (f" :: {a.evidence}" if a.evidence else ""))
         return "\n".join(lines)
@@ -289,10 +300,10 @@ def build_world(config: ScenarioConfig, seed: int) -> World:
     return world
 
 
-# --- standard assertions -------------------------------------------------------
+# --- the check pass ----------------------------------------------------------
 
-def secrecy_assertions(world: World, expect_cookie_leak: bool = False) -> list:
-    """Order secrecy always holds; cookie secrecy per the scenario's claim.
+def secrecy_assertions(world: World) -> list:
+    """Order secrecy, and cookie secrecy of authenticated sessions.
 
     The cookies under test are those of honest-server sessions that reached
     Authenticated: a cookie of a failed session protects nothing.
@@ -314,45 +325,68 @@ def secrecy_assertions(world: World, expect_cookie_leak: bool = False) -> list:
     if cookie_secrets:
         results = closure.probe(kn, cookie_secrets)
         leaked = [r for r in results if r.leaked]
-        if expect_cookie_leak:
-            out.append(Assertion(
-                "cookie-leaked-as-predicted", bool(leaked),
-                leaked[0].evidence.replace("\n", " | ") if leaked
-                else "no authenticated-session cookie in the closure"))
-        else:
-            out.append(Assertion(
-                "cookie-secrecy", not leaked,
-                "; ".join(f"{r.name}: {r.evidence}" for r in leaked)
-                or f"{len(results)} cookies stay out of the closure"))
+        out.append(Assertion(
+            "cookie-secrecy", not leaked,
+            "; ".join(f"{r.name}: " + r.evidence.replace("\n", " | ")
+                      for r in leaked)
+            or f"{len(results)} cookies stay out of the closure"))
     return out
 
 
 _AGREED_PARAMS = ("r_s", "r_w", "omega", "client_token", "server_token")
 
 
-def matching_client_sessions(net: SimNetwork, entry: dict) -> list:
-    """Client sessions agreeing with one server session on every parameter.
+def _client_session_index(net: SimNetwork) -> Counter:
+    """Client sessions counted by (server, client, agreed parameters)."""
+    return Counter((c["server"], c["client"], *(c[p] for p in _AGREED_PARAMS))
+                   for c in net.client_sessions)
 
-    The parameters are (client, server, r_S, r_W, omega) and both tokens;
-    injective agreement wants exactly one such session.
-    """
+
+def _agreement_key(entry: dict, client: str) -> tuple:
+    """The index key a client session agreeing with ``entry`` would have."""
     sp = entry["session"].params()
-    return [c for c in net.client_sessions
-            if c["server"] == entry["server"]
-            and c["client"] == entry["auth"].client_name
-            and all(c[p] == sp[p] for p in _AGREED_PARAMS)]
+    return (entry["server"], client, *(sp[p] for p in _AGREED_PARAMS))
 
 
 def agreement_assertions(world: World) -> list:
-    """Executable agreement check over the session registries."""
+    """Injective agreement at every honest server.
+
+    Each authenticated session there needs exactly one client session that
+    agrees on (client, server, r_S, r_W, omega) and both tokens.
+    """
     net = world.net
+    index = _client_session_index(net)
     out = []
     for i, entry in net.honest_authenticated_sessions():
-        n = len(matching_client_sessions(net, entry))
+        n = index[_agreement_key(entry, entry["auth"].client_name)]
         out.append(Assertion(
             f"agreement:{entry['server']}:{i}", n == 1,
             f"{n} honest client sessions share these parameters"))
     return out
+
+
+def attribution_assertion(world: World) -> Assertion:
+    """Rate-limit attribution: every debit under sigma is its holder's.
+
+    Each session an honest server authenticated under sigma must agree with
+    a client session of sigma's one holder among the world's synthesizers.
+    """
+    holders = defaultdict(list)
+    for name, synth in world.synthesizers.items():
+        holders[synth.chain.token.sigma].append(name)
+    index = _client_session_index(world.net)
+    checked, bad = 0, []
+    for i, entry in world.net.honest_authenticated_sessions():
+        checked += 1
+        owners = holders[entry["auth"].sigma]
+        if len(owners) != 1 or not index[_agreement_key(entry, owners[0])]:
+            bad.append(f"{entry['server']}:{i} (holders of its sigma: "
+                       f"{', '.join(owners) or 'none'})")
+    return Assertion(
+        "rate-limit-attribution", not bad,
+        f"{len(bad)} of {checked} sessions do not agree with their sigma's "
+        f"one holder, first {bad[0]}" if bad
+        else f"{checked} sessions each agree with their sigma's one holder")
 
 
 def key_slot_uniqueness_assertion(world: World) -> Assertion:
@@ -386,8 +420,14 @@ def _parse_order(spec: str) -> list:
 
 
 def run_scenario(config: ScenarioConfig, script: str, seed: int,
-                 name: str = "scripted") -> ScenarioResult:
-    """Parse and execute a line-oriented scenario script deterministically."""
+                 name: str = "scripted", violated: tuple = ()
+                 ) -> ScenarioResult:
+    """Parse and execute a line-oriented scenario script deterministically.
+
+    The run ends with the check pass. ``violated`` names the checks the
+    scenario predicts to be violated; ``outcome.ok`` means that every check
+    came out as predicted.
+    """
     commands = parse_script(script)
 
     # corruption must be known before the world is built
@@ -407,10 +447,8 @@ def run_scenario(config: ScenarioConfig, script: str, seed: int,
     for lineno, parts in commands:
         cmd, args = parts[0], parts[1:]
         try:
-            if cmd == "corrupt":
-                continue  # handled in the pre-pass
-            elif cmd == "deliver":
-                continue  # the default behaviour, accepted for symmetry
+            if cmd in ("corrupt", "deliver"):
+                continue  # corrupt: done in the pre-pass; deliver: the default
             elif cmd == "advance-clock":
                 world.net.advance_clock(int(args[0]))
             elif cmd == "drop":
@@ -429,6 +467,19 @@ def run_scenario(config: ScenarioConfig, script: str, seed: int,
                 world.net.inject(args[0], bytes.fromhex(args[1]))
             elif cmd == "resume-next":
                 resume_next.add(args[0])
+            elif cmd == "add-synth":
+                if args[0] in world.synthesizers or args[0] in world.net.roles:
+                    raise ScriptError(f"name {args[0]!r} is already in use")
+                if args[1:] not in ([], ["forced"]):
+                    raise ScriptError("add-synth takes NAME [forced]")
+                # forced: the new token reuses S's identifier sigma
+                sigma = world.synth.chain.token.sigma if args[1:] else None
+                world.add_synthesizer(args[0], config.rate_limit,
+                                      forced_sigma=sigma)
+            elif cmd == "replay-code":
+                if config.corrupt.get(args[0]) != "leaky":
+                    raise ScriptError(f"{args[0]!r} is not a leaky database")
+                world.net.roles[args[0]].replay_stolen_code()
             elif cmd in ("query", "query-exempt"):
                 synth = world.synthesizers.get(args[0])
                 if synth is None:
@@ -463,8 +514,12 @@ def run_scenario(config: ScenarioConfig, script: str, seed: int,
                         got.overall == expected.overall
                         and got.verdicts == expected.verdicts,
                         f"got {got.overall}, oracle says {expected.overall}"))
+                except ScriptError:
+                    raise  # a fault of the script, not of the protocol
                 except ScreeningError as err:
-                    # its traceback holds this frame, which holds `replies`
+                    # its traceback, and that of the error it was raised
+                    # from, hold this frame, which holds `replies`
+                    err.__cause__ = err.__context__ = None
                     replies.append(err.with_traceback(None))
                     world.net.note(f"{qid} failed: {type(err).__name__}")
                     assertions.append(Assertion(
@@ -472,12 +527,18 @@ def run_scenario(config: ScenarioConfig, script: str, seed: int,
                         f"query raised {type(err).__name__}: {err}"))
             else:
                 raise ScriptError(f"unknown command {cmd!r}")
-        except ScriptError:
-            raise
-        except (IndexError, ValueError) as e:
+        except (ScriptError, IndexError, ValueError) as e:
             raise ScriptError(f"line {lineno}: {e}") from None
 
     assertions += secrecy_assertions(world)
+    assertions += agreement_assertions(world)
+    assertions.append(attribution_assertion(world))
+    if not config.resumption:  # a resumed session reuses its slots
+        assertions.append(key_slot_uniqueness_assertion(world))
+    for a in assertions:
+        a.expected = a.id not in violated
+    assertions += [Assertion(i, True, "no such check was made", expected=False)
+                   for i in sorted(set(violated) - {a.id for a in assertions})]
     outcome = ScenarioOutcome(name, assertions)
     return ScenarioResult(name, world, outcome,
                           world.net.transcript.render(), replies)
@@ -495,12 +556,7 @@ def scenario_honest_basic(seed: int, variant: str = SCEP,
         "advance-clock 60",
         f"query S {CLEAN_SEQUENCES[1].hex()}",
     ])
-    result = run_scenario(config, script, seed,
-                          name=f"honest-basic-{variant}")
-    result.outcome.assertions += agreement_assertions(result.world)
-    result.outcome.assertions.append(
-        key_slot_uniqueness_assertion(result.world))
-    return result
+    return run_scenario(config, script, seed, name=f"honest-basic-{variant}")
 
 
 def scenario_honest_exemption(seed: int, variant: str = SCEP
@@ -515,7 +571,5 @@ def scenario_honest_exemption(seed: int, variant: str = SCEP
         "advance-clock 60",
         f"query-exempt S {uncovered.hex()} code=fresh",
     ])
-    result = run_scenario(config, script, seed,
-                          name=f"honest-exemption-{variant}")
-    result.outcome.assertions += agreement_assertions(result.world)
-    return result
+    return run_scenario(config, script, seed,
+                        name=f"honest-exemption-{variant}")

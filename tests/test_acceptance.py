@@ -90,7 +90,9 @@ def test_acceptance_03_mitm_matrix():
     assert scep_run.outcome.ok, scep_run.outcome.render()
     assert scep_run.outcome.token == "ATTACK_SUCCEEDED"
     by_id = {a.id: a for a in scep_run.outcome.assertions}
-    assert by_id["server-authenticated-adversary-as-victim"].passed
+    # K2 authenticated the adversary in a session no client agrees with
+    assert not by_id["agreement:K2:0"].passed
+    assert scep_run.world.keyservers["K1"].step6_result == "Authenticated"
     assert by_id["victim-ledger-debited-by-adversary"].passed
 
     plus_run = attack_mitm_rate_limit(SCEP_PLUS, seed=7)
@@ -120,7 +122,8 @@ def test_acceptance_04_cookie_secrecy():
 
     corrupt = attack_mitm_rate_limit(SCEP, seed=301)
     by_id = {a.id: a for a in corrupt.outcome.assertions}
-    assert by_id["cookie-leaked-as-predicted"].passed
+    assert not by_id["cookie-secrecy"].passed
+    assert not by_id["cookie-secrecy"].expected
 
 
 @criterion(5, "order secrecy: s and M(s) stay out of the adversary closure "
@@ -142,8 +145,7 @@ def test_acceptance_06_response_swap_matrix():
     assert detected.outcome.ok and detected.outcome.token == "SWAP_DETECTED"
     rejected = attack_response_swap(False, False, seed=11)
     assert rejected.outcome.ok and rejected.outcome.token == "SWAP_REJECTED"
-    by_id = {a.id: a for a in rejected.outcome.assertions}
-    assert by_id["resumption-disabled-error-observed"].passed
+    assert any("ResumptionDisabled" in n for n in rejected.world.net.notes)
 
 
 @criterion(7, "rate limiting: the mu=100 worked example and 1000 randomized "

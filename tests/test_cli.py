@@ -146,7 +146,10 @@ INPUT_FILES = {"order": f"{CLEAN.hex()}\n",
                "bad_order": f"{CLEAN.hex()}\nnot-hex\n",
                "bad_hazards": "gg agent reason\n",
                # a database cannot relay like a keyserver
-               "bad_script": f"corrupt H mitm\nquery S {CLEAN.hex()}\n"}
+               "bad_script": f"corrupt H mitm\nquery S {CLEAN.hex()}\n",
+               # replaces query 1's response before anything was captured
+               "swap_script": "swap S->H:s2c:1:r1 S->H:s2c:0:r1\n"
+                              + f"query S {CLEAN.hex()}\n" * 2}
 
 
 @pytest.mark.parametrize("argv,error", [
@@ -159,12 +162,14 @@ INPUT_FILES = {"order": f"{CLEAN.hex()}\n",
      "ScriptError"),
     (("attack", "collision", "--rate-limit", "-1"), "ScriptError"),
     (("run", "script", "--file", "{bad_script}"), "ScriptError"),
+    (("run", "script", "--file", "{swap_script}"), "ScriptError"),
     (("run", "basic", "--order", "{missing}"), "FileNotFoundError"),
     (("run", "basic", "--order", "{order}", "--hazards", "{missing}"),
      "FileNotFoundError"),
     (("run", "script", "--file", "{missing}"), "FileNotFoundError"),
 ], ids=["order", "hazards", "exempt", "rate-limit", "attack-rate-limit",
-        "corrupt", "missing-order", "missing-hazards", "missing-script"])
+        "corrupt", "swap-before-capture", "missing-order", "missing-hazards",
+        "missing-script"])
 def test_bad_input_ends_in_an_outcome_line(tmp_path, capsys, argv, error):
     paths = {"missing": tmp_path / "missing.txt"}
     for name, text in INPUT_FILES.items():

@@ -1,6 +1,7 @@
 """Simulator determinism, taps, the scenario script, and the closure engine."""
 
 import gc
+import re
 import weakref
 
 import pytest
@@ -61,6 +62,64 @@ def test_script_rejects_unknown_command_and_role():
     with pytest.raises(ScriptError):
         run_scenario(ScenarioConfig(), f"query-exempt S {CLEAN} code=fresh",
                      seed=1)  # no exemption token configured
+
+
+def test_script_error_inside_a_query_ends_the_run():
+    # the replace half of this swap fires on query 1, before anything was
+    # captured: a fault of the script, not a query the system refused
+    script = (f"swap S->H:s2c:1:r1 S->H:s2c:0:r1\n"
+              f"query S {CLEAN}\n"
+              f"query S {CLEAN}\n")
+    with pytest.raises(ScriptError, match="^line 2: nothing captured as"):
+        run_scenario(ScenarioConfig(), script, seed=3)
+
+
+@pytest.mark.parametrize("script,message", [
+    ("add-synth S", "line 1: name 'S' is already in use"),
+    ("add-synth S2\nadd-synth S2 forced",
+     "line 2: name 'S2' is already in use"),
+    ("add-synth K1", "line 1: name 'K1' is already in use"),
+    ("add-synth S2 sideways", "line 1: add-synth takes NAME [forced]"),
+    ("replay-code H", "line 1: 'H' is not a leaky database"),
+    ("corrupt K1 mitm\nreplay-code K1",
+     "line 2: 'K1' is not a leaky database"),
+    (f"corrupt H leaky\nquery S {CLEAN}\nreplay-code H",
+     "line 3: no device code has been stolen yet"),
+], ids=["taken-by-S", "taken-by-add-synth", "taken-by-server", "bad-flag",
+        "honest-H", "mitm-K1", "nothing-stolen"])
+def test_add_synth_and_replay_code_fail_typed(script, message):
+    with pytest.raises(ScriptError, match=re.escape(message)):
+        run_scenario(ScenarioConfig(), script, seed=2)
+
+
+def test_outcome_is_ok_only_when_each_prediction_comes_true():
+    script = f"corrupt K1 mitm\nquery S {CLEAN}"
+    right = ("query-1-matches-oracle", "cookie-secrecy", "agreement:K2:0",
+             "rate-limit-attribution")
+    result = run_scenario(ScenarioConfig(), script, seed=8, violated=right)
+    assert result.outcome.ok, result.outcome.render()
+    assert "[XFAIL] agreement:K2:0" in result.outcome.render()
+    # a violation nobody predicted
+    assert not run_scenario(ScenarioConfig(), script, seed=8).outcome.ok
+    # a predicted violation that did not happen, or of a check never made
+    for wrong in ("order-secrecy", "agreement:K9:0"):
+        result = run_scenario(ScenarioConfig(), script, seed=8,
+                              violated=right + (wrong,))
+        assert not result.outcome.ok
+        assert f"[XPASS] {wrong}" in result.outcome.render()
+
+
+def test_add_synth_forced_shares_the_sigma_of_s():
+    script = f"add-synth S2\nadd-synth S3 forced\nquery S3 {CLEAN}\n"
+    result = run_scenario(ScenarioConfig(), script, seed=4)
+    sigmas = {name: synth.chain.token.sigma
+              for name, synth in result.world.synthesizers.items()}
+    assert sigmas["S3"] == sigmas["S"] != sigmas["S2"]
+    assert result.replies[0].overall == result.world.oracle(
+        [CLEAN_SEQUENCES[0]]).overall
+    assert not result.outcome.ok  # S's sigma now has two holders
+    assert not next(a for a in result.outcome.assertions
+                    if a.id == "rate-limit-attribution").passed
 
 
 def test_script_comments_and_deliver_are_noise():
@@ -489,11 +548,12 @@ def test_dropped_world_is_freed_without_the_cyclic_collector(no_cyclic_gc):
 
 
 @pytest.mark.parametrize("name", ["mitm-scep", "collision-forced",
-                                  "passcode-replay"])
+                                  "passcode-replay", "swap-off-off"])
 def test_dropped_attack_result_is_freed_without_the_cyclic_collector(
         no_cyclic_gc, name):
-    # mitm and collision keep the victim's error, whose traceback frames
-    # hold the world; mitm and passcode replace a role by a corrupt one
+    # mitm, collision and swap keep the victim's error, whose traceback
+    # frames hold the world (swap's also through the InvalidTag it was
+    # raised from); mitm and passcode replace a role by a corrupt one
     result = attacks.all_scenarios()[name](5)
     refs = _refs_to_network_and_roles(result.world)
     del result
