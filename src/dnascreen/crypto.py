@@ -27,15 +27,19 @@ bits of q on a smaller group). That turns an exponent such as q - 1 (the
 Lagrange coefficient -1) into one inverse: on ``prod``, a point negation.
 
 On ``prod`` a full-length scalar multiplication runs on OpenSSL's X25519
-(RFC 7748): two Montgomery ladders give u(Q) and u(Q + D), and Okeya-Sakurai
-recovery turns them into the whole point Q. X25519 clamps its scalar to
-2^254 + 8m, so the ladders get 8j and 8j + 8 for the one of +-k that has
-8j = +-k (mod l) in that form: the factor 8 clears the 4-torsion a
-ristretto255 representative carries, and the sign is undone on the result.
-Because the two clamped scalars differ by 8, the known difference is
-D = 8P. Short scalars, the identity's class and the ~2^-125 share of
-scalars for which neither of +-k has such a form take the signed radix-16
-multiplication in Python.
+(RFC 7748) on half the scalar: two Montgomery ladders give u(H) and
+u(H + D), and Okeya-Sakurai recovery turns them into the whole point H.
+X25519 clamps its scalar to 2^254 + 8m, so the ladders get 8j and 8j + 8
+with 16j = k or 16j = -k (mod l), whichever puts 8j in that form: the
+factor 8 clears the 4-torsion a ristretto255 representative carries, and
+the sign is undone on H. Because the two clamped scalars differ by 8, the
+known difference is D = 8P. The result is 2H, in the class of kP, and it
+keeps H: RFC 9496's encode of a doubled point needs one inversion and no
+square root. For the generator the ladders are X25519 public-key
+derivations (its base point u = 9 is edwards25519's B), and D's constants
+are computed once. Short scalars, the identity's class and the ~2^-125
+share of scalars for which neither of +-k has such a form take the signed
+radix-16 multiplication in Python.
 
 The ``prod`` arithmetic is variable time: the choice of +-k, the fallback
 and the short multiplication branch on the scalar, and the codecs branch on
@@ -311,61 +315,90 @@ def _ed_mul(p1: tuple, k: int) -> tuple:
 # the Montgomery form of edwards25519 under u = (1 + y) / (1 - y) and
 # v = c u / x with c^2 = -(A + 2). It clamps k to 2^254 + 8m with m < 2^251.
 # The factor 8 clears the 4-torsion part of a ristretto255 representative,
-# so a clamped k' = 8j with 8j = +-k (mod l) lands on +-k times the prime-order
-# part of the point, which is in the class of +-k times the point. One of +-k
-# has such a j for all but a ~2^-125 share of k.
+# so a clamped k' = 8j with 16j = +-k (mod l) lands on H = +-(k/2) times the
+# prime-order part of the point, and 2H is in the class of +-k times the
+# point. One of +-k has such a j for all but a ~2^-125 share of k. Returning
+# 2H with H kept lets the encode use the doubling in place of a square root.
 
 _A = 486662
-_INV8 = pow(8, -1, _L)
+_INV16 = pow(16, -1, _L)
 # 8j and 8j + 8 are both clamped scalars exactly for j in [2^251, 2^252 - 1)
 _J_MIN, _J_END = 2 ** 251, 2 ** 252 - 1
 
 
-def _x25519(k: int, public: X25519PublicKey) -> int:
-    """u(k * Q) for a clamped k, with Q given as an X25519 public key."""
+class _Doubled(tuple):
+    """2H as the point ``_ed_double(H)``, keeping H in ``half`` so that
+    ``_ristretto_encode`` takes ``_ristretto_encode_double(H)``."""
+
+    def __new__(cls, half: tuple):
+        point = super().__new__(cls, _ed_double(half))
+        point.half = half
+        return point
+
+
+def _x25519(k: int, public: X25519PublicKey | None) -> int:
+    """u(k * Q) for a clamped k, with Q given as an X25519 public key. For
+    Q = B (None) it is the key's own public u: X25519's u = 9 is B."""
     private = X25519PrivateKey.from_private_bytes(k.to_bytes(32, "little"))
+    if public is None:
+        return int.from_bytes(private.public_key().public_bytes_raw(), "little")
     return int.from_bytes(private.exchange(public), "little")
 
 
-def _ladder_mul(p1: tuple, k: int) -> tuple:
-    """k * p1 up to 4-torsion, from two X25519 ladders.
+def _ladder_constants(p1: tuple) -> tuple | None:
+    """(u(p1), u_D, 1 / x_D) for D = 8 * p1, or None when D is the identity
+    (p1 in the identity's class), with one inversion."""
+    P = _P
+    _, Y, Z, _ = p1
+    XD, YD, ZD, _ = _ed_double(_ed_double(_ed_double(p1)))
+    if not XD:
+        return None
+    # one inversion for 1 / (Z - Y), 1 / (ZD - YD) and 1 / XD
+    a, b = Z - Y, ZD - YD
+    ab = a * b % P
+    inv = pow(ab * XD, -1, P)
+    return ((Z + Y) * b % P * XD % P * inv % P,
+            (ZD + YD) * a % P * XD % P * inv % P,
+            ZD * ab % P * inv % P)
 
-    The ladders give u(Q) and u(Q + D) for Q = 8j * p1 and D = 8 * p1 =
-    (u_D, v_D). Okeya-Sakurai (CHES 2001) recovers Q's v:
-    2 v_D v = (u u_D + 1)(u + u_D + 2A) - 2A - (u - u_D)^2 u(Q + D).
+
+def _ladder_mul(p1: tuple, k: int) -> tuple:
+    """k * p1 up to 4-torsion, as 2H from two X25519 ladders.
+
+    The ladders give u(H) and u(H + D) for H = 8j * p1 and D = 8 * p1 =
+    (u_D, v_D). Okeya-Sakurai (CHES 2001) recovers H's v:
+    2 v_D v = (u u_D + 1)(u + u_D + 2A) - 2A - (u - u_D)^2 u(H + D).
     The map back, x = c u / v with v_D = c u_D / x_D, squares c out:
     x = -2(A + 2) u u_D / (x_D * 2 v_D v) and y = (u - 1) / (u + 1).
+    For the generator the ladders are fixed-base and D's constants are the
+    module's.
 
     It takes ``_ed_mul`` when neither of +-k has a j in [_J_MIN, _J_END),
-    which also keeps Q and Q + D from the identity, and when p1 is in the
+    which also keeps H and H + D from the identity, and when p1 is in the
     identity's class (then D is the identity: x_D = 0).
     """
-    j, sign = k * _INV8 % _L, 1
+    j, sign = k * _INV16 % _L, 1
     if not _J_MIN <= j < _J_END:
         j, sign = _L - j, -1
         if not _J_MIN <= j < _J_END:
             return _ed_mul(p1, k)
     P = _P
-    _, Y, Z, _ = p1
-    XD, YD, ZD, _ = _ed_double(_ed_double(_ed_double(p1)))
-    if not XD:
-        return _ed_mul(p1, k)
-    # one inversion for 1 / (Z - Y), 1 / (ZD - YD) and 1 / XD
-    a, b = Z - Y, ZD - YD
-    ab = a * b % P
-    inv = pow(ab * XD, -1, P)
-    u_p = (Z + Y) * b % P * XD % P * inv % P
-    u_d = (ZD + YD) * a % P * XD % P * inv % P
-    x_d_inv = ZD * ab % P * inv % P
-    public = X25519PublicKey.from_public_bytes(u_p.to_bytes(32, "little"))
+    if p1 is _ED_BASE:
+        public, u_d, x_d_inv = None, _BASE_U_D, _BASE_X_D_INV
+    else:
+        constants = _ladder_constants(p1)
+        if constants is None:
+            return _ed_mul(p1, k)
+        u_p, u_d, x_d_inv = constants
+        public = X25519PublicKey.from_public_bytes(u_p.to_bytes(32, "little"))
     u = _x25519(8 * j, public)
     u_next = _x25519(8 * j + 8, public)
     two_vd_v = ((u * u_d + 1) * (u + u_d + 2 * _A) - 2 * _A
                 - (u - u_d) ** 2 * u_next) % P
-    # x = w / two_vd_v; the sign of w picks Q or -Q
+    # x = w / two_vd_v; the sign of w picks H or -H
     w = -2 * (_A + 2) * sign * u * u_d % P * x_d_inv % P
-    return (w * (u + 1) % P, two_vd_v * (u - 1) % P,
-            two_vd_v * (u + 1) % P, w * (u - 1) % P)
+    return _Doubled((w * (u + 1) % P, two_vd_v * (u - 1) % P,
+                     two_vd_v * (u + 1) % P, w * (u - 1) % P))
 
 
 def _ristretto_decode(s: int) -> tuple:
@@ -392,6 +425,8 @@ def _ristretto_decode(s: int) -> tuple:
 
 def _ristretto_encode(p1: tuple) -> int:
     """The canonical s of p1's class (RFC 9496 section 4.3.2)."""
+    if type(p1) is _Doubled:
+        return _ristretto_encode_double(p1.half)
     P = _P
     X0, Y0, Z0, T0 = p1
     u1 = (Z0 + Y0) * (Z0 - Y0) % P
@@ -408,6 +443,31 @@ def _ristretto_encode(p1: tuple) -> int:
     if X * z_inv % P & 1:
         Y = P - Y
     s = den_inv * (Z0 - Y) % P
+    return P - s if s & 1 else s
+
+
+def _ristretto_encode_double(h1: tuple) -> int:
+    """The canonical s of 2 * h1's class, with one inversion and no root.
+
+    2 * h1 = (e h : g f : f h : e g) for e = 2XY, f = Z^2 + d T^2,
+    g = Y^2 + X^2 and h = Z^2 - d T^2, and these factors supply the square
+    root that RFC 9496's encode would compute (the identity behind
+    curve25519-dalek's ``double_and_compress_batch``). 2 * h1 must not be
+    in the identity's class, or eg * fh is 0.
+    """
+    P = _P
+    X, Y, Z, T = h1
+    zz, dtt = Z * Z % P, _D * T % P * T % P
+    e, f, g, h = 2 * X * Y % P, zz + dtt, (Y * Y + X * X) % P, zz - dtt
+    eg, fh = e * g % P, f * h % P
+    inv = pow(eg * fh, -1, P)
+    z_inv, t_inv = eg * inv % P, fh * inv % P  # 1 / Z and 1 / T of 2 * h1
+    magic = _INVSQRT_A_MINUS_D
+    if eg * z_inv % P & 1:  # rotate by the 4-torsion point (i, 0)
+        e, g, h, magic = g, -e, f * _SQRT_M1 % P, _SQRT_M1
+    if h * e % P * z_inv % P & 1:
+        g = -g
+    s = (h - g) * magic % P * g % P * t_inv % P
     return P - s if s & 1 else s
 
 
@@ -439,6 +499,10 @@ def _ed_base() -> tuple:
     return x, y, 1, x * y % _P
 
 
+_ED_BASE = _ed_base()
+_, _BASE_U_D, _BASE_X_D_INV = _ladder_constants(_ED_BASE)
+
+
 class Ristretto255(GroupBackend):
     """ristretto255: the prime-order group of RFC 9496 in pure Python."""
 
@@ -446,7 +510,7 @@ class Ristretto255(GroupBackend):
 
     def __init__(self, name: str):
         super().__init__(name, _L, element_size=32, scalar_size=32,
-                         generator=_ed_base(), identity=_ED_IDENTITY)
+                         generator=_ED_BASE, identity=_ED_IDENTITY)
 
     _decode = staticmethod(_ristretto_decode)
     _canonical = staticmethod(_ristretto_encode)

@@ -344,8 +344,7 @@ def _client_session_index(net: SimNetwork) -> Counter:
 
 def _agreement_key(entry: dict, client: str) -> tuple:
     """The index key a client session agreeing with ``entry`` would have."""
-    sp = entry["session"].params()
-    return (entry["server"], client, *(sp[p] for p in _AGREED_PARAMS))
+    return (entry["server"], client, *(entry[p] for p in _AGREED_PARAMS))
 
 
 def agreement_assertions(world: World) -> list:

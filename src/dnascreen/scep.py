@@ -203,6 +203,7 @@ class ScepServerSession:
         self.r_w = None
         self.omega = None
         self.client_chain = None
+        self.tokens = (None, None)  # (client, server) as verify hashed them
         self.state = STATE_INIT
 
     def respond(self, hello_plain: bytes, channel: ChannelSession, rng,
@@ -242,9 +243,9 @@ class ScepServerSession:
             self.state = STATE_FAILED
             raise BadCookie("cookie echo does not match")
         token = self.client_chain.token
+        self.tokens = (token.encode(), self.config.chain.token.encode())
         expected = mutauth_hash(self.config.variant, b"client-mutauth",
-                                self.r_s, self.r_w, self.omega,
-                                token.encode(), self.config.chain.token.encode())
+                                self.r_s, self.r_w, self.omega, *self.tokens)
         if not token.subject_key.verify(expected, sig):
             self.state = STATE_FAILED
             raise BadClientSig("client mutauth signature invalid")
@@ -255,13 +256,15 @@ class ScepServerSession:
                              client_name=token.subject_id.name)
 
     def params(self) -> dict:
+        """Session parameters for agreement bookkeeping; the tokens are the
+        encodings ``verify`` hashed."""
+        client_token, server_token = self.tokens
         return {
             "r_s": self.r_s,
             "r_w": self.r_w,
             "omega": self.omega,
-            "client_token": (self.client_chain.token.encode()
-                             if self.client_chain else None),
-            "server_token": self.config.chain.token.encode(),
+            "client_token": client_token,
+            "server_token": server_token,
         }
 
 

@@ -293,8 +293,11 @@ class SimNetwork:
             "server": server, "session": scep_session, "auth": None}
 
     def record_server_authenticated(self, scep_session, auth):
-        """Mark the session recorded at respond time as authenticated."""
-        self.server_sessions[scep_session]["auth"] = auth
+        """Mark the session recorded at respond time as authenticated, and
+        record its parameters as a client session's are."""
+        entry = self.server_sessions[scep_session]
+        entry["auth"] = auth
+        entry.update(scep_session.params())
 
     def honest_authenticated_sessions(self):
         """(index, entry) of each authenticated session at an honest server.

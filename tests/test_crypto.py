@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import types
 
 import pytest
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
@@ -262,12 +263,24 @@ def test_ristretto_encodings_are_canonical():
         assert crypto.GroupElement(P, t).encode() == bytes(32)
 
 
-# RFC 9496 Appendix A.1: the encodings of 0B, B, 2B and 3B
+# RFC 9496 Appendix A.1: the encodings of 0B, B, 2B, ..., 15B
 RFC9496_MULTIPLES = [
     "00" * 32,
     "e2f2ae0a6abc4e71a884a961c500515f58e30b6aa582dd8db6a65945e08d2d76",
     "6a493210f7499cd17fecb510ae0cea23a110e8d5b901f8acadd3095c73a3b919",
     "94741f5d5d52755ece4f23f044ee27d5d1ea1e2bd196b462166b16152a9d0259",
+    "da80862773358b466ffadfe0b3293ab3d9fd53c5ea6c955358f568322daf6a57",
+    "e882b131016b52c1d3337080187cf768423efccbb517bb495ab812c4160ff44e",
+    "f64746d3c92b13050ed8d80236a7f0007c3b3f962f5ba793d19a601ebb1df403",
+    "44f53520926ec81fbd5a387845beb7df85a96a24ece18738bdcfa6a7822a176d",
+    "903293d8f2287ebe10e2374dc1a53e0bc887e592699f02d077d5263cdd55601c",
+    "02622ace8f7303a31cafc63f8fc48fdc16e1c8c8d234b2f0d6685282a9076031",
+    "20706fd788b2720a1ed2a5dad4952b01f413bcf0e7564de8cdc816689e2db95f",
+    "bce83f8ba5dd2fa572864c24ba1810f9522bc6004afe95877ac73241cafdab42",
+    "e4549ee16b9aa03099ca208c67adafcafa4c3f3e4e5303de6026e3ca8ff84460",
+    "aa52e000df2e16f55fb1032fc33bc42742dad6bd5a8fc0be0167436c5948501f",
+    "46376b80f409b29dc2b5f6f0c52591990896e5716f41477cd30085ab7f10301e",
+    "e0c418f7c8d9c4cdd7395b93ea124f3ad99021bb681dfc3302a9d99a2e53e64e",
 ]
 
 
@@ -277,16 +290,18 @@ def test_prod_generator_multiples_match_rfc9496():
     for i, expected in enumerate(RFC9496_MULTIPLES):
         assert g.exp(P.scalar(i)).encode().hex() == expected
         assert acc.encode().hex() == expected
-        # l + i: the same multiple through the X25519 ladder
-        ladder = crypto.GroupElement(P, P._pow(g.value, P.q + i))
-        assert ladder.encode().hex() == expected
+        # l + i: the same multiple through the X25519 ladder and, for
+        # i > 0, the doubled-point encode
+        ladder = P._pow(g.value, P.q + i)
+        assert (type(ladder) is crypto._Doubled) == (i > 0)
+        assert crypto.GroupElement(P, ladder).encode().hex() == expected
         acc = acc.mul(g)
 
 
-# short, at the edges of the X25519 route's scalar ranges, and 2^255 mod l,
-# which neither k nor -k reaches as a clamped scalar
-EDGE_SCALARS = (1, 2, 8, 2 ** 16, P.q - 2 ** 16, P.q - 8, P.q - 1,
-                2 ** 255 % P.q)
+# short, at the edges of the X25519 route's scalar ranges, and 2^256 mod l,
+# for which neither of +-k/16 gives a clamped 8j
+EDGE_SCALARS = (1, 2, 8, 16, 2 ** 16, P.q - 2 ** 16, P.q - 16, P.q - 8,
+                P.q - 1, 2 ** 255 % P.q, 2 ** 256 % P.q)
 
 
 def _encode(point: tuple) -> bytes:
@@ -310,24 +325,66 @@ def test_prod_pow_matches_ed_mul():
 
 
 def test_prod_long_scalars_take_the_x25519_ladder(monkeypatch):
-    fallbacks = []
+    fallbacks, exchanges = [], []
     ed_mul = crypto._ed_mul
     monkeypatch.setattr(crypto, "_ed_mul",
                         lambda v, k: fallbacks.append(k) or ed_mul(v, k))
+
+    class SpyKey:
+        def __init__(self, raw):
+            self.key = X25519PrivateKey.from_private_bytes(raw)
+
+        def public_key(self):
+            return self.key.public_key()
+
+        def exchange(self, peer):
+            exchanges.append(peer)
+            return self.key.exchange(peer)
+
+    monkeypatch.setattr(crypto, "X25519PrivateKey",
+                        types.SimpleNamespace(from_private_bytes=SpyKey))
     rng = random.Random(18)
     x = hash_to_group(b"routes", P).value
     for v in (x, P.generator.value):
         for _ in range(24):
             P._pow(v, rng.randrange(2 ** 17, P.q))
     assert fallbacks == []
-    # the short route, no clamped representative, u(Q + D) at the identity,
+    # a hashed point's two ladders are exchanges; the generator's read
+    # public keys
+    assert len(exchanges) == 24 * 2
+    exchanges.clear()
+    P.generator.exp(P.random_scalar(rng))
+    assert exchanges == []
+    P._pow(x, rng.randrange(2 ** 17, P.q))
+    assert len(exchanges) == 2
+    # the short route; k/16 = 2^252, just past the clamped range, with -k/16
+    # below it; k/16 = l - 1, with u(H + D) at the identity and -k/16 = 1;
     # and the identity's class
-    short, degenerate = 2 ** 16 - 1, [2 ** 255 % P.q, P.q - 8]
+    short = 2 ** 16 - 1
+    degenerate = [16 * 2 ** 252 % P.q, 16 * (P.q - 1) % P.q]
+    assert degenerate == [2 ** 256 % P.q, P.q - 16]
     for k in [short, *degenerate]:
         P._pow(x, k)
     k = rng.randrange(2 ** 17, P.q)
     P._pow(P.identity.value, k)
     assert fallbacks == [short, *degenerate, k]
+
+
+def test_doubled_encode_matches_rfc_encode():
+    # H from hashing, generator multiples and ladder outputs, each moved by
+    # every 4-torsion point: the doubling supplies the encode's root
+    rng = random.Random(19)
+    points = [hash_to_group(rng.randbytes(8), P).value for _ in range(8)]
+    points += [crypto._ed_mul(P.generator.value, rng.randrange(1, P.q))
+               for _ in range(8)]
+    ladder = [P._pow(v, rng.randrange(2 ** 17, P.q)) for v in points]
+    assert all(type(v) is crypto._Doubled for v in ladder)
+    points += ladder + [v.half for v in ladder]
+    for v in points:
+        for t in [(0, 1, 1, 0)] + TORSION:
+            h = crypto._ed_add(v, t)
+            assert crypto._ristretto_encode_double(h) == (
+                crypto._ristretto_encode(crypto._ed_double(h)))
 
 
 def test_prod_hash_to_group_calls_neither_exp_nor_element(monkeypatch):

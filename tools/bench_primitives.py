@@ -8,7 +8,8 @@ microseconds of:
   exp.generator   g^k for uniform k
   element         the membership check of an element's canonical integer
   hash_to_group   of a 16-byte message
-  encode          of an element
+  encode          of a hashed element
+  encode.powered  of an ``exp.long`` result
   decode          ``decode_element`` of a 32- or 384-byte encoding
 
 and once for the primitives that do not depend on the group:
@@ -72,6 +73,7 @@ def group_readings(backend) -> dict:
     msgs = [rng.randbytes(16) for _ in range(64)]
     minus_one = backend.scalar(backend.q - 1)
     g = backend.generator
+    powered = [x.exp(k) for x, k in zip(xs, ks)]
     return {
         "exp.long": median_us(lambda i: xs[i % 16].exp(ks[i % 64])),
         "exp.short_neg": median_us(lambda i: xs[i % 16].exp(minus_one)),
@@ -80,6 +82,7 @@ def group_readings(backend) -> dict:
         "hash_to_group": median_us(
             lambda i: backend.hash_to_group(msgs[i % 64])),
         "encode": median_us(lambda i: xs[i % 16].encode()),
+        "encode.powered": median_us(lambda i: powered[i % 16].encode()),
         "decode": median_us(lambda i: backend.decode_element(encs[i % 16])),
     }
 
