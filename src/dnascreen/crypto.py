@@ -37,9 +37,11 @@ known difference is D = 8P. The result is 2H, in the class of kP, and it
 keeps H: RFC 9496's encode of a doubled point needs one inversion and no
 square root. For the generator the ladders are X25519 public-key
 derivations (its base point u = 9 is edwards25519's B), and D's constants
-are computed once. Short scalars, the identity's class and the ~2^-125
-share of scalars for which neither of +-k has such a form take the signed
-radix-16 multiplication in Python.
+are computed once. Building the two X25519 keys costs OpenSSL a fixed-base
+ladder each, so a ``Scalar`` keeps its keys and later products under it
+skip them. Short scalars, the identity's class and the ~2^-125 share of
+scalars for which neither of +-k has such a form take the signed radix-16
+multiplication in Python.
 
 The ``prod`` arithmetic is variable time: the choice of +-k, the fallback
 and the short multiplication branch on the scalar, and the codecs branch on
@@ -73,8 +75,9 @@ class GroupBackend:
     A subclass holds elements as whatever values suit its arithmetic and
     supplies it on them: ``_decode`` (canonical integer to value, raising
     ``DecodeError`` for a non-member), ``_canonical`` (the inverse),
-    ``_mul``, ``_pow`` (to a power k >= 0), ``_inv``, ``_is_identity`` and
-    ``_hash`` (bytes to a ``GroupElement``).
+    ``_mul``, ``_pow`` (to a power k >= 0, given the ``Scalar`` of value k
+    when there is one), ``_inv``, ``_is_identity`` and ``_hash`` (bytes to
+    a ``GroupElement``).
     """
 
     byteorder = "big"  # of element encodings; scalars are always big-endian
@@ -161,7 +164,7 @@ class ModularGroup(GroupBackend):
     def _mul(self, a: int, b: int) -> int:
         return a * b % self.p
 
-    def _pow(self, v: int, k: int) -> int:
+    def _pow(self, v: int, k: int, scalar=None) -> int:
         return pow(v, k, self.p)
 
     def _inv(self, v: int) -> int:
@@ -336,13 +339,30 @@ class _Doubled(tuple):
         return point
 
 
-def _x25519(k: int, public: X25519PublicKey | None) -> int:
-    """u(k * Q) for a clamped k, with Q given as an X25519 public key. For
-    Q = B (None) it is the key's own public u: X25519's u = 9 is B."""
-    private = X25519PrivateKey.from_private_bytes(k.to_bytes(32, "little"))
+def _x25519(private: X25519PrivateKey, public: X25519PublicKey | None
+            ) -> int:
+    """u(k * Q) for the clamped k of ``private``, with Q given as an X25519
+    public key. For Q = B (None) it is the key's own public u: X25519's
+    u = 9 is B."""
     if public is None:
         return int.from_bytes(private.public_key().public_bytes_raw(), "little")
     return int.from_bytes(private.exchange(public), "little")
+
+
+def _ladder_keys(k: int) -> tuple:
+    """(sign, key of 8j, key of 8j + 8) with 16j = sign * k (mod l) and both
+    keys clamped scalars, or () when neither sign has such a j.
+
+    OpenSSL derives each key's public u as it builds the key, so a key costs
+    one fixed-base ladder; ``Scalar`` keeps the keys for its value.
+    """
+    j, sign = k * _INV16 % _L, 1
+    if not _J_MIN <= j < _J_END:
+        j, sign = _L - j, -1
+        if not _J_MIN <= j < _J_END:
+            return ()
+    return (sign, *(X25519PrivateKey.from_private_bytes(c.to_bytes(32, "little"))
+                    for c in (8 * j, 8 * j + 8)))
 
 
 def _ladder_constants(p1: tuple) -> tuple | None:
@@ -362,8 +382,9 @@ def _ladder_constants(p1: tuple) -> tuple | None:
             ZD * ab % P * inv % P)
 
 
-def _ladder_mul(p1: tuple, k: int) -> tuple:
-    """k * p1 up to 4-torsion, as 2H from two X25519 ladders.
+def _ladder_mul(p1: tuple, k: int, keys: tuple) -> tuple:
+    """k * p1 up to 4-torsion, as 2H from two X25519 ladders; ``keys`` is
+    ``_ladder_keys(k)``.
 
     The ladders give u(H) and u(H + D) for H = 8j * p1 and D = 8 * p1 =
     (u_D, v_D). Okeya-Sakurai (CHES 2001) recovers H's v:
@@ -377,11 +398,9 @@ def _ladder_mul(p1: tuple, k: int) -> tuple:
     which also keeps H and H + D from the identity, and when p1 is in the
     identity's class (then D is the identity: x_D = 0).
     """
-    j, sign = k * _INV16 % _L, 1
-    if not _J_MIN <= j < _J_END:
-        j, sign = _L - j, -1
-        if not _J_MIN <= j < _J_END:
-            return _ed_mul(p1, k)
+    if not keys:
+        return _ed_mul(p1, k)
+    sign, key, key_next = keys
     P = _P
     if p1 is _ED_BASE:
         public, u_d, x_d_inv = None, _BASE_U_D, _BASE_X_D_INV
@@ -391,8 +410,8 @@ def _ladder_mul(p1: tuple, k: int) -> tuple:
             return _ed_mul(p1, k)
         u_p, u_d, x_d_inv = constants
         public = X25519PublicKey.from_public_bytes(u_p.to_bytes(32, "little"))
-    u = _x25519(8 * j, public)
-    u_next = _x25519(8 * j + 8, public)
+    u = _x25519(key, public)
+    u_next = _x25519(key_next, public)
     two_vd_v = ((u * u_d + 1) * (u + u_d + 2 * _A) - 2 * _A
                 - (u - u_d) ** 2 * u_next) % P
     # x = w / two_vd_v; the sign of w picks H or -H
@@ -517,10 +536,16 @@ class Ristretto255(GroupBackend):
     _mul = staticmethod(_ed_add)
     _inv = staticmethod(_ed_neg)
 
-    def _pow(self, v: tuple, k: int) -> tuple:
+    def _pow(self, v: tuple, k: int, scalar: "Scalar | None" = None) -> tuple:
+        """k * v; a ``scalar`` of value k keeps its ladder keys for the next
+        product."""
         if k.bit_length() <= self.short_exp_bits:
             return _ed_mul(v, k)
-        return _ladder_mul(v, k)
+        if scalar is None:
+            return _ladder_mul(v, k, _ladder_keys(k))
+        if scalar._ladder is None:
+            scalar._ladder = _ladder_keys(k)
+        return _ladder_mul(v, k, scalar._ladder)
 
     @staticmethod
     def _is_identity(p1: tuple) -> bool:
@@ -544,16 +569,18 @@ class GroupElement:
         self.value = value
 
     def exp(self, e: "Scalar") -> "GroupElement":
-        return self.power(e.value)
+        return self.power(e.value, e)
 
-    def power(self, k: int) -> "GroupElement":
-        """self^k for 0 <= k <= q; ``exp`` outside perfbench's count."""
+    def power(self, k: int, scalar: "Scalar | None" = None) -> "GroupElement":
+        """self^k for 0 <= k <= q; ``exp`` outside perfbench's count. The
+        backend may keep per-scalar work in ``scalar``, the Scalar of value
+        k that ``exp`` passes."""
         b = self.backend
         m = b.q - k
         if m.bit_length() <= b.short_exp_bits:
             # x^q is the identity, so x^k is the inverse of the short x^m
             return GroupElement(b, b._inv(b._pow(self.value, m)))
-        return GroupElement(b, b._pow(self.value, k))
+        return GroupElement(b, b._pow(self.value, k, scalar))
 
     def mul(self, other: "GroupElement") -> "GroupElement":
         b = self.backend
@@ -580,13 +607,21 @@ class GroupElement:
 
 
 class Scalar:
-    """Integer modulo the group order q."""
+    """Integer modulo the group order q.
 
-    __slots__ = ("backend", "value")
+    A scalar keeps what using it derives: its inverse, and on ``prod`` its
+    two X25519 keys (``_ladder``). So each power of one scalar after the
+    first skips the key derivations, and the unblinds of an order, which
+    all invert one beta, share its inverse and that inverse's keys.
+    """
+
+    __slots__ = ("backend", "value", "_ladder", "_inverse")
 
     def __init__(self, backend: GroupBackend, value: int):
         self.backend = backend
         self.value = value % backend.q
+        self._ladder = None
+        self._inverse = None
 
     def mul(self, other: "Scalar") -> "Scalar":
         return Scalar(self.backend, (self.value * other.value) % self.backend.q)
@@ -595,9 +630,12 @@ class Scalar:
         return Scalar(self.backend, (self.value + other.value) % self.backend.q)
 
     def inverse(self) -> "Scalar":
-        if self.value == 0:
-            raise ZeroDivisionError("zero scalar has no inverse")
-        return Scalar(self.backend, pow(self.value, -1, self.backend.q))
+        if self._inverse is None:
+            if self.value == 0:
+                raise ZeroDivisionError("zero scalar has no inverse")
+            self._inverse = Scalar(self.backend,
+                                   pow(self.value, -1, self.backend.q))
+        return self._inverse
 
     def encode(self) -> bytes:
         return self.value.to_bytes(self.backend.scalar_size, "big")

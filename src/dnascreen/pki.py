@@ -14,10 +14,19 @@ validity is the closed interval [start, end].
 Signatures are checked over the bytes that arrived, as X.509 checks them
 over the received tbsCertificate (RFC 5280 4.1.1.3): ``decode`` keeps the
 signed portion it split off, and validation verifies over those bytes
-instead of re-packing the parsed fields. Issued certificates and tokens keep
-the bytes they were signed over, and a chain packs its encoding once. The
-kept bytes sit outside the dataclass fields, so ``dataclasses.replace``
-builds an object that packs again; equality and hashing stay field-based.
+instead of re-packing the parsed fields. ``decode`` also keeps the whole
+encoding it parsed, so a decoded certificate, token or chain encodes to the
+bytes that arrived without packing. Issued certificates and tokens keep the
+bytes they were signed over and pack their encoding once, on first use, as
+an issued chain does. The kept bytes sit outside the dataclass fields, so
+``dataclasses.replace`` builds an object that packs again; equality and
+hashing stay field-based.
+
+Each role decodes a peer's chain once: ``PeerChains`` keeps the chains its
+role has accepted, keyed by their exact bytes, and hands the kept object
+back when the same bytes arrive again. Every connection still runs
+``validate_chain`` in full on it (signatures, validity windows,
+revocation), so the store saves parsing and never a check.
 """
 
 from dataclasses import dataclass, field, replace
@@ -112,19 +121,27 @@ class CertDescription:
 class _Signed:
     """A certificate or token: signed fields plus ``signature`` over them.
 
-    ``_tbs`` is the signed portion, packed from the fields on first use
-    unless decode or issuance kept the bytes it parsed or signed.
+    ``_tbs`` is the signed portion and ``_encoded`` the whole encoding,
+    each packed on first use unless decode kept the bytes it parsed or
+    issuance the bytes it signed.
     """
 
     def signed_portion(self) -> bytes:
         return self._tbs
 
     def encode(self) -> bytes:
+        return self._encoded
+
+    @cached_property
+    def _encoded(self) -> bytes:
         return wire.pack_fields(self._tbs, self.signature)
 
-    def _keeping(self, tbs: bytes):
-        """This object with ``tbs`` kept as its signed portion."""
+    def _keeping(self, tbs: bytes, encoded: bytes | None = None):
+        """This object with ``tbs`` kept as its signed portion and, if
+        given, ``encoded`` as its encoding."""
         self.__dict__["_tbs"] = tbs
+        if encoded is not None:
+            self.__dict__["_encoded"] = encoded
         return self
 
 
@@ -172,7 +189,7 @@ class Certificate(_Signed):
             valid_start=wire.unpack_u64(fields[7]),
             valid_end=wire.unpack_u64(fields[8]),
             signature=sig,
-        )._keeping(signed)
+        )._keeping(signed, b)
 
 
 # --- token payloads ---------------------------------------------------------
@@ -294,7 +311,7 @@ class Token(_Signed):
             valid_start=wire.unpack_u64(fields[8]),
             valid_end=wire.unpack_u64(fields[9]),
             signature=sig,
-        )._keeping(signed)
+        )._keeping(signed, b)
 
 
 @dataclass(frozen=True)
@@ -304,7 +321,8 @@ class CertChain:
     ``ancestors`` holds intermediate exemption tokens when ``token`` is a
     sub-token: token -> ancestors[0] -> ... -> path[0] (issuing leaf).
     A bare path with token=None validates certificates only. The encoding
-    is packed on first use and kept, so an issued chain packs it once.
+    is packed on first use and kept, so an issued chain packs it once; a
+    decoded chain keeps the bytes it was decoded from.
     """
 
     path: tuple
@@ -325,11 +343,13 @@ class CertChain:
     @classmethod
     def decode(cls, b: bytes) -> "CertChain":
         tok, anc, certs = wire.expect_fields(b, 3)
-        return cls(
+        chain = cls(
             token=Token.decode(tok) if tok else None,
             ancestors=tuple(Token.decode(t) for t in wire.unpack_fields(anc)),
             path=tuple(Certificate.decode(c) for c in wire.unpack_fields(certs)),
         )
+        chain.__dict__["_encoded"] = b
+        return chain
 
     @property
     def leaf(self) -> Certificate:
@@ -338,6 +358,31 @@ class CertChain:
     @property
     def root(self) -> Certificate:
         return self.path[-1]
+
+
+class PeerChains:
+    """One role's decoded peer chains, keyed by the exact bytes they came as.
+
+    ``decode`` returns the chain kept for those bytes, or decodes them
+    afresh, so a malformed chain still raises ``DecodeError`` before any
+    validation. The role runs ``validate_chain`` on the result on every
+    connection and calls ``keep`` only once it accepted the chain. A chain
+    revoked or expired since it was kept is refused like any other, and a
+    changed byte is a different key, decoded and validated afresh. The store
+    holds only chains that once validated against the role's pinned roots;
+    it has no size bound. Each role owns one: roles are separate parties.
+    """
+
+    def __init__(self):
+        self.chains: dict[bytes, CertChain] = {}
+
+    def decode(self, b: bytes) -> CertChain:
+        chain = self.chains.get(b)
+        return CertChain.decode(b) if chain is None else chain
+
+    def keep(self, chain: CertChain) -> None:
+        """Keep ``chain``, which ``validate_chain`` has just accepted."""
+        self.chains.setdefault(chain.encode(), chain)
 
 
 @dataclass

@@ -36,6 +36,7 @@ from .pki import (
     TOKEN_SYNTHESIZER,
     CertChain,
     Certificate,
+    PeerChains,
     RevocationList,
     validate_chain,
 )
@@ -75,12 +76,15 @@ def encode_hello(r_s: bytes, chain: CertChain, extra: bytes = b"") -> Payload:
                              terms.blob(extra, "text")))
 
 
-def decode_hello(plaintext: bytes) -> tuple[bytes, CertChain, bytes]:
+def decode_hello(plaintext: bytes, decode_chain=CertChain.decode
+                 ) -> tuple[bytes, CertChain, bytes]:
+    """(r_S, client chain, extra); ``decode_chain`` turns the chain's bytes
+    into a chain, e.g. a role's ``PeerChains.decode``."""
     if len(plaintext) < NONCE_SIZE:
         raise DecodeError("hello shorter than its nonce")
     r_s = plaintext[:NONCE_SIZE]
     chain_b, extra = wire.expect_fields(plaintext[NONCE_SIZE:], 2)
-    return r_s, CertChain.decode(chain_b), extra
+    return r_s, decode_chain(chain_b), extra
 
 
 def encode_respond(omega: bytes, r_w: bytes, chain: CertChain,
@@ -89,9 +93,11 @@ def encode_respond(omega: bytes, r_w: bytes, chain: CertChain,
                                 terms.blob(chain.encode()), terms.blob(sig)))
 
 
-def decode_respond(plaintext: bytes) -> tuple[bytes, bytes, CertChain, bytes]:
+def decode_respond(plaintext: bytes, decode_chain=CertChain.decode
+                   ) -> tuple[bytes, bytes, CertChain, bytes]:
+    """(omega, r_W, server chain, signature), decoding as ``decode_hello``."""
     omega, r_w, chain_b, sig = wire.expect_fields(plaintext, 4)
-    return omega, r_w, CertChain.decode(chain_b), sig
+    return omega, r_w, decode_chain(chain_b), sig
 
 
 def encode_finish(omega: bytes, sig: bytes) -> Payload:
@@ -113,12 +119,17 @@ class Authenticated:
 
 
 class ScepClientSession:
-    """Client side of one SCEP(+) run inside one channel."""
+    """Client side of one SCEP(+) run inside one channel.
+
+    ``peer_chains`` is the client role's store of server chains; a session
+    without one keeps the chain it accepts to itself.
+    """
 
     def __init__(self, variant: str, chain: CertChain, signing_key: SigningKey,
                  trusted_infra_root: Certificate, rng,
                  revocations: RevocationList | None = None,
-                 keyserver_extra: bytes = b""):
+                 keyserver_extra: bytes = b"",
+                 peer_chains: PeerChains | None = None):
         assert variant in VARIANTS
         self.variant = variant
         self.chain = chain
@@ -126,6 +137,7 @@ class ScepClientSession:
         self.trusted_infra_root = trusted_infra_root
         self.revocations = revocations or RevocationList()
         self.keyserver_extra = keyserver_extra
+        self.peer_chains = peer_chains or PeerChains()
         self.r_s = rng.randbytes(NONCE_SIZE)
         self.r_w = None
         self.cookie = None
@@ -139,7 +151,8 @@ class ScepClientSession:
 
     def finish(self, response_plain: bytes, channel: ChannelSession,
                now: int) -> Payload:
-        omega, r_w, server_chain, sig = decode_respond(response_plain)
+        omega, r_w, server_chain, sig = decode_respond(
+            response_plain, self.peer_chains.decode)
         try:
             validate_chain(server_chain, self.trusted_infra_root, now,
                            self.revocations)
@@ -149,6 +162,7 @@ class ScepClientSession:
         if server_chain.token is None:
             self.state = STATE_FAILED
             raise BadServerChain("server chain carries no token")
+        self.peer_chains.keep(server_chain)
         # The presented token must belong to the channel peer the client
         # verified during the handshake; otherwise any certified server's
         # chain could be relayed.
@@ -195,10 +209,16 @@ class ScepServerConfig:
 
 
 class ScepServerSession:
-    """Server side of one SCEP(+) run inside one connection."""
+    """Server side of one SCEP(+) run inside one connection.
 
-    def __init__(self, config: ScepServerConfig):
+    ``peer_chains`` is the server role's store of client chains, as for
+    ``ScepClientSession``.
+    """
+
+    def __init__(self, config: ScepServerConfig,
+                 peer_chains: PeerChains | None = None):
         self.config = config
+        self.peer_chains = peer_chains or PeerChains()
         self.r_s = None
         self.r_w = None
         self.omega = None
@@ -208,7 +228,8 @@ class ScepServerSession:
 
     def respond(self, hello_plain: bytes, channel: ChannelSession, rng,
                 now: int) -> Payload:
-        r_s, client_chain, _extra = decode_hello(hello_plain)
+        r_s, client_chain, _extra = decode_hello(hello_plain,
+                                                 self.peer_chains.decode)
         try:
             validate_chain(client_chain, self.config.trusted_manufacturer_root,
                            now, self.config.revocations)
@@ -221,6 +242,7 @@ class ScepServerSession:
         if client_chain.token is None:
             self.state = STATE_FAILED
             raise BadClientChain("client chain carries no token")
+        self.peer_chains.keep(client_chain)
         self.r_s = r_s
         self.client_chain = client_chain
         self.r_w = rng.randbytes(NONCE_SIZE)

@@ -9,8 +9,10 @@ device code to the database, which clears listed sequences that the ELT
 covers.
 
 Server roles are single-threaded state machines driven one connection at a
-time by the simulator; the only cross-connection state is the rate ledger
-and the resumption cache.
+time by the simulator; the only cross-connection state is the rate ledger,
+the resumption cache and the role's ``PeerChains``, the peer chains it has
+decoded and accepted. Each connection still validates its peer's chain in
+full.
 """
 
 from dataclasses import dataclass
@@ -50,6 +52,7 @@ from .errors import (
 from .pki import (
     CertChain,
     Certificate,
+    PeerChains,
     RevocationList,
     TOKEN_EXEMPTION,
     validate_chain,
@@ -208,11 +211,14 @@ def hdb_lookup(db: HazardDb, request: QueryRequest, ledger: RateLimitLedger,
                now: int, *, expected_cookie: bytes, sigma: bytes, mu: int,
                exemption_root: Certificate | None = None,
                revocations: RevocationList | None = None,
-               auth_check=None) -> QueryResponse:
+               auth_check=None,
+               peer_chains: PeerChains | None = None) -> QueryResponse:
     """Membership plus exemption flags for one authenticated request.
 
     ``auth_check(device_id, code, now) -> bool`` consults the authentication
     backend; it is required whenever an exemption part is present.
+    ``peer_chains`` is the database role's store, which decodes the ELT
+    chain and keeps it once accepted.
     """
     if request.cookie != expected_cookie:
         raise BadCookie("query cookie does not match this connection")
@@ -222,13 +228,16 @@ def hdb_lookup(db: HazardDb, request: QueryRequest, ledger: RateLimitLedger,
     exempt_set = set()
     if request.exemption is not None:
         try:
-            chain = CertChain.decode(request.exemption.chain_bytes)
+            if peer_chains is None:
+                peer_chains = PeerChains()
+            chain = peer_chains.decode(request.exemption.chain_bytes)
             if exemption_root is None:
                 raise BadEltChain("no exemption root configured")
             validate_chain(chain, exemption_root, now,
                            revocations or RevocationList())
             if chain.token is None or chain.token.token_type != TOKEN_EXEMPTION:
                 raise BadEltChain("chain does not carry an exemption token")
+            peer_chains.keep(chain)
         except BadEltChain:
             raise
         except ScreeningError as e:
@@ -365,7 +374,8 @@ class ServerConnection:
     def _scep_step(self, request: Payload) -> Payload | None:
         net = self.role.net
         if self.scep is None:
-            self.scep = ScepServerSession(self.role.scep_config)
+            self.scep = ScepServerSession(self.role.scep_config,
+                                          self.role.peer_chains)
             reply = self.scep.respond(request.data, self.channel,
                                       self.role.rng, net.now())
             net.record_server_session(self.role.name, self.scep)
@@ -404,6 +414,7 @@ class ServerRole:
         self.rng = rng
         self.resumption_allowed = resumption_allowed
         self.session_cache = {}
+        self.peer_chains = PeerChains()
         self.net = None  # set at registration
 
     def open_connection(self) -> ServerConnection:
@@ -519,7 +530,8 @@ class HashedDbRole(ServerRole):
             self.net.now(), expected_cookie=conn.scep.omega,
             sigma=conn.auth.sigma, mu=conn.auth.rate_limit,
             exemption_root=self.exemption_root,
-            revocations=self.elt_revocations, auth_check=self._auth_check)
+            revocations=self.elt_revocations, auth_check=self._auth_check,
+            peer_chains=self.peer_chains)
         core = response.encode_core()
         sig = b""
         if self.bind_responses:
@@ -591,6 +603,7 @@ class SynthesizerRole:
         self.rng = rng
         self.net = None
         self._hdb_session: ChannelSession | None = None
+        self.peer_chains = PeerChains()
 
     # -- connection management --
 
@@ -619,7 +632,8 @@ class SynthesizerRole:
                                        resumption_allowed=self.config.resumption)
         scep_session = ScepClientSession(
             self.config.scep_variant, self.chain, self.signing_key,
-            self.trusted_infra_root, self.rng, keyserver_extra=keyserver_extra)
+            self.trusted_infra_root, self.rng, keyserver_extra=keyserver_extra,
+            peer_chains=self.peer_chains)
         # a server that rejects the hello answers with an error record
         respond = channel_recv(session, conn.send(scep_session.hello(session)))
         raise_error_record(wire.unpack_fields(respond))

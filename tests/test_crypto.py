@@ -8,7 +8,8 @@ import pytest
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
-from dnascreen import crypto
+from dnascreen import crypto, wire
+from dnascreen.channel import ServerHandshake, handshake_client, issue_tls_identity
 from dnascreen.crypto import (
     FIN_SEQ,
     ModularGroup,
@@ -21,6 +22,7 @@ from dnascreen.crypto import (
     SigningKey,
     VerifyKey,
 )
+from dnascreen.doprf import KeyShare, blind, eval_share, random_blinding, unblind
 from dnascreen.errors import AuthenticationFailure, DecodeError
 
 B = TEST_BACKEND
@@ -368,6 +370,60 @@ def test_prod_long_scalars_take_the_x25519_ladder(monkeypatch):
     k = rng.randrange(2 ** 17, P.q)
     P._pow(P.identity.value, k)
     assert fallbacks == [short, *degenerate, k]
+
+
+def test_prod_scalar_derives_its_x25519_keys_once(monkeypatch):
+    derived = []
+    real = X25519PrivateKey.from_private_bytes
+    monkeypatch.setattr(crypto, "X25519PrivateKey", types.SimpleNamespace(
+        from_private_bytes=lambda raw: derived.append(raw) or real(raw)))
+    rng = random.Random(20)
+    xs = [hash_to_group(rng.randbytes(8), P) for _ in range(5)]
+
+    def products(k: int) -> list:
+        return [_encode(crypto._ed_mul(x.value, k)) for x in xs]
+
+    # a keyserver evaluates every element under one share
+    share = KeyShare(1, P.random_scalar(rng))
+    assert [y.encode() for y in (eval_share(share, x) for x in xs)] == (
+        products(share.value.value))
+    assert len(derived) == 2
+    # a bare int derives the keys on every call
+    derived.clear()
+    assert [x.power(share.value.value).encode() for x in xs] == (
+        products(share.value.value))
+    assert len(derived) == 2 * len(xs)
+    # an order's blinds share beta, and its unblinds beta's one inverse
+    beta = random_blinding(P, rng)
+    derived.clear()
+    blinded = [blind(x, beta) for x in xs]
+    assert [y.encode() for y in blinded] == products(beta.value)
+    assert len(derived) == 2
+    assert [unblind(y, beta) for y in blinded] == xs
+    assert len(derived) == 4
+    # each handshake side multiplies g and the peer's share by one exponent
+    ca = SigningKey.generate(rng)
+    ident, static = issue_tls_identity(ca, "W", rng)
+    server = ServerHandshake(ident, static, P, rng)
+    server_side = []
+
+    def transport(payload):
+        before = len(derived)
+        if wire.unpack_fields(payload.data)[0] == b"client-hello":
+            reply = server.receive_client_hello(payload.data)
+        else:
+            reply = server.receive_client_kex(payload.data)
+        server_side.append(len(derived) - before)
+        return reply.data
+
+    derived.clear()
+    client = handshake_client(transport, "W", ca.verify_key, P, rng)
+    assert client.client_write == server.session.client_write
+    assert sum(server_side) == 2 and len(derived) == 4
+    # the server's share again, from the keys its exponent kept
+    g, e_s = P.generator, server.e_s
+    assert g.exp(e_s).encode() == _encode(crypto._ed_mul(g.value, e_s.value))
+    assert len(derived) == 4
 
 
 def test_doubled_encode_matches_rfc_encode():

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from dnascreen import pki
+from dnascreen import pki, wire
 from dnascreen.crypto import SigningKey
 from dnascreen.errors import (
     BadSignature,
@@ -375,6 +375,28 @@ def test_decoded_bytes_equal_repack():
             pki.validate_chain(decoded, root, NOW)
         except ScreeningError:
             pass
+
+
+def test_encodings_are_kept(monkeypatch):
+    """A decoded chain and its parts encode to the bytes they were decoded
+    from, and an issued token packs its encoding once."""
+    chain, _ = SAMPLES[2]
+    blob = chain.encode()
+    decoded = pki.CertChain.decode(blob)
+    rng = random.Random(12)
+    _, _, _, _, leaf, leaf_key = build_hierarchy(rng)
+    issued, _ = synth_token(rng, leaf, leaf_key)
+    packs = []
+    real = wire.pack_fields
+    monkeypatch.setattr(wire, "pack_fields",
+                        lambda *fields: packs.append(fields) or real(*fields))
+    assert decoded.encode() is blob
+    for _, obj in _signed_objects(decoded):
+        assert obj.encode() is obj.encode()
+        assert blob.count(obj.encode()) == 1
+    assert packs == []
+    assert issued.encode() is issued.encode()
+    assert len(packs) == 1
 
 
 # multi-byte UTF-8 included; a fixed alphabet needs no Unicode tables

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from dnascreen import pki
+from dnascreen import pki, wire
 from dnascreen.channel import channel_recv, handshake_pair, issue_tls_identity
 from dnascreen.crypto import TEST_BACKEND, SigningKey
 from dnascreen.errors import (
@@ -12,7 +12,9 @@ from dnascreen.errors import (
     BadCookie,
     BadServerChain,
     BadServerSig,
+    DecodeError,
     Revoked,
+    ScreeningError,
 )
 from dnascreen.scep import (
     SCEP,
@@ -91,15 +93,17 @@ class World:
             trusted_manufacturer_root=self.m_root,
             revocations=revocations or pki.RevocationList())
 
-    def client(self, variant, extra=b""):
+    def client(self, variant, extra=b"", peer_chains=None):
         return ScepClientSession(variant, self.s_chain, self.s_key,
-                                 self.i_root, self.rng, keyserver_extra=extra)
+                                 self.i_root, self.rng, keyserver_extra=extra,
+                                 peer_chains=peer_chains)
 
 
-def run_scep(world, variant, client=None, server_cfg=None):
+def run_scep(world, variant, client=None, server_cfg=None, server_chains=None):
     c_ch, s_ch = world.channels()
     client = client or world.client(variant)
-    server = ScepServerSession(server_cfg or world.server_config(variant))
+    server = ScepServerSession(server_cfg or world.server_config(variant),
+                               server_chains)
     hello = client.hello(c_ch)
     respond = server.respond(channel_recv(s_ch, hello.data), s_ch, world.rng,
                              NOW)
@@ -370,3 +374,86 @@ def test_ledger_against_rescan_oracle():
     assert oracle.check(sigma, 10, 1000 + window + 1, 10)
     assert not oracle.check(sigma, 1, 1000 + window + 1, 10)
     assert oracle.ledger.window_total(sigma, 1000 + window + 1) == 10
+
+
+# --- each role's store of decoded peer chains ----------------------------------
+# A store hands back the chain it kept for the same bytes; every session
+# still validates that chain in full, and only an accepted chain is kept.
+
+
+def _hello_plain(chain_b: bytes) -> bytes:
+    return b"r" * NONCE_SIZE + wire.pack_fields(chain_b, b"")
+
+
+def test_kept_server_chain_is_refused_once_expired():
+    world = World()
+    chains = pki.PeerChains()
+    run_scep(world, SCEP, client=world.client(SCEP, peer_chains=chains))
+    kept = chains.chains[world.w_chain.encode()]
+    # the server answers inside its window, the client reads it past END
+    c_ch, s_ch = world.channels()
+    client = world.client(SCEP, peer_chains=chains)
+    server = ScepServerSession(world.server_config(SCEP))
+    respond = server.respond(channel_recv(s_ch, client.hello(c_ch).data),
+                             s_ch, world.rng, NOW)
+    with pytest.raises(BadServerChain, match="outside validity window"):
+        client.finish(channel_recv(c_ch, respond.data), c_ch, END + 1)
+    assert chains.chains == {world.w_chain.encode(): kept}
+
+
+def test_kept_client_chain_is_refused_once_revoked():
+    world = World()
+    chains, revs = pki.PeerChains(), pki.RevocationList()
+    cfg = world.server_config(SCEP, revs)
+    _, first, _ = run_scep(world, SCEP, server_cfg=cfg, server_chains=chains)
+    _, second, _ = run_scep(world, SCEP, server_cfg=cfg, server_chains=chains)
+    assert second.client_chain is first.client_chain
+    assert list(chains.chains) == [world.s_chain.encode()]
+    revs.revoke_sigma(world.s_chain.token.sigma)
+    with pytest.raises(Revoked):
+        run_scep(world, SCEP, server_cfg=cfg, server_chains=chains)
+
+
+def test_refused_client_chains_are_not_kept():
+    world = World()
+    revs = pki.RevocationList()
+    revs.revoke_key(world.s_chain.path[1].subject_key)
+    chain_b = world.s_chain.encode()
+    refused = [
+        (chain_b[:-1], DecodeError, world.server_config(SCEP)),
+        (World(seed=9).s_chain.encode(), BadClientChain,
+         world.server_config(SCEP)),
+        (pki.CertChain(path=world.s_chain.path).encode(), BadClientChain,
+         world.server_config(SCEP)),
+        (chain_b, Revoked, world.server_config(SCEP, revs)),
+    ]
+    _, s_ch = world.channels()
+    for blob, error, cfg in refused:
+        chains = pki.PeerChains()
+        with pytest.raises(error):
+            ScepServerSession(cfg, chains).respond(_hello_plain(blob), s_ch,
+                                                   world.rng, NOW)
+        assert chains.chains == {}
+
+
+def test_flipped_byte_is_decoded_afresh_and_refused_as_before():
+    world = World()
+    cfg = world.server_config(SCEP)
+    chains = pki.PeerChains()
+    run_scep(world, SCEP, server_cfg=cfg, server_chains=chains)
+    kept = dict(chains.chains)
+    chain_b = world.s_chain.encode()
+    _, s_ch = world.channels()
+
+    def refusal(blob, store):
+        with pytest.raises(ScreeningError) as e:
+            ScepServerSession(cfg, store).respond(_hello_plain(blob), s_ch,
+                                                  world.rng, NOW)
+        return type(e.value), str(e.value)
+
+    for pos in range(0, len(chain_b), 7):
+        blob = bytearray(chain_b)
+        blob[pos] ^= 0x01
+        blob = bytes(blob)
+        assert refusal(blob, chains) == refusal(blob, pki.PeerChains())
+    assert chains.chains == kept

@@ -14,6 +14,7 @@ from dnascreen.errors import (
     BadEltChain,
     InvalidSequence,
     RateLimited,
+    Revoked,
     UnknownDevice,
 )
 from dnascreen.scep import RateLimitLedger
@@ -313,6 +314,71 @@ def test_prod_exemption_query_end_to_end():
     expected = world.oracle(order, (covered,))
     assert got.overall == expected.overall == GRANT
     assert got.verdicts == expected.verdicts
+
+
+def test_kept_chains_are_refused_once_revoked():
+    # one exemption query fills each role's store; a revocation still
+    # refuses the kept chain on the next connection
+    covered = DEFAULT_HAZARDS[0][0]
+    world = build_world(ScenarioConfig(elt_sequences=(covered,)), seed=33)
+    world.synth.exemption_query([covered], world.elt_chain, world.fresh_code())
+    assert world.elt_chain.encode() in world.hdb.peer_chains.chains
+    world.hdb.elt_revocations.revoke_sigma(world.elt_chain.token.sigma)
+    with pytest.raises(BadEltChain):
+        world.synth.exemption_query([covered], world.elt_chain,
+                                    world.fresh_code())
+    k1 = world.keyservers["K1"]
+    assert world.synth.chain.encode() in k1.peer_chains.chains
+    k1.scep_config.revocations.revoke_sigma(world.synth.chain.token.sigma)
+    with pytest.raises(Revoked):
+        world.synth.basic_query([CLEAN_SEQUENCES[0]])
+
+
+def test_each_query_validates_every_chain_in_full(monkeypatch):
+    world = build_world(ScenarioConfig(), seed=31)
+    verifies = []
+    real = crypto.VerifyKey.verify
+    monkeypatch.setattr(crypto.VerifyKey, "verify",
+                        lambda key, msg, sig: verifies.append(msg)
+                        or real(key, msg, sig))
+    for _ in range(2):
+        verifies.clear()
+        world.synth.basic_query([CLEAN_SEQUENCES[0]])
+        assert len(verifies) == 36
+    # the second query's sessions share the chains the first one decoded
+    k1_chains = [entry["session"].client_chain
+                 for entry in world.net.server_sessions.values()
+                 if entry["server"] == "K1"]
+    assert len(k1_chains) == 2 and k1_chains[0] is k1_chains[1]
+
+
+def test_roles_keep_separate_peer_chains():
+    covered = DEFAULT_HAZARDS[0][0]
+    world = build_world(ScenarioConfig(elt_sequences=(covered,)), seed=32)
+    world.synth.exemption_query([covered], world.elt_chain, world.fresh_code())
+    dialed = world.keyserver_names[:world.config.threshold]
+    assert set(world.synth.peer_chains.chains) == {
+        *(world.keyservers[n].scep_config.chain.encode() for n in dialed),
+        world.hdb.scep_config.chain.encode()}
+    assert set(world.hdb.peer_chains.chains) == {world.synth.chain.encode(),
+                                                 world.elt_chain.encode()}
+    for name in dialed:
+        assert set(world.keyservers[name].peer_chains.chains) == {
+            world.synth.chain.encode()}
+    roles = [world.synth, *world.keyservers.values(), world.hdb, world.auth]
+    stores = [role.peer_chains for role in roles]
+    assert len({id(store) for store in stores}) == len(stores)
+    kept = [chain for store in stores for chain in store.chains.values()]
+    kept_parts = [part for chain in kept
+                  for part in (chain.token, *chain.ancestors, *chain.path)]
+    issued = [world.synth.chain, world.elt_chain,
+              *(ks.scep_config.chain for ks in world.keyservers.values()),
+              world.hdb.scep_config.chain]
+    issued_parts = {id(part) for chain in issued
+                    for part in (chain.token, *chain.path)}
+    assert len({id(c) for c in kept}) == len(kept) == 7
+    assert len({id(p) for p in kept_parts}) == len(kept_parts)
+    assert issued_parts.isdisjoint(id(p) for p in kept_parts)
 
 
 def count_operations(monkeypatch, query) -> Counter:
