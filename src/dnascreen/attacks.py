@@ -51,6 +51,7 @@ from .screening import (
     KeyserverRole,
     QueryRequest,
     ServerConnection,
+    TAG_KS_EVAL,
     open_reply,
     raise_error_record,
 )
@@ -133,7 +134,7 @@ class MitmKeyserver(KeyserverRole):
                 break
             elems = [g.exp(self.backend.scalar(j + 2)).encode()
                      for j in range(batch)]
-            req = terms.cat(terms.blob(b"ks-eval", "text"),
+            req = terms.cat(TAG_KS_EVAL,
                             terms.Atom("cookie", omega_w),
                             *map(terms.element_atom, elems))
             try:

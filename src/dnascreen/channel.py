@@ -41,6 +41,12 @@ DIR_S2C = 0x02
 
 _HDR = 1 + 8 + 4
 
+# bound once: every flight shares its tag's atom and the label hashed for it
+_CLIENT_HELLO = terms.blob(b"client-hello", "text")
+_SERVER_HELLO = terms.blob(b"server-hello", "text")
+_CLIENT_KEX = terms.blob(b"client-kex", "text")
+_SERVER_FIN = terms.blob(b"server-fin", "text")
+
 
 @dataclass(frozen=True)
 class ServerTlsIdentity:
@@ -145,12 +151,13 @@ def channel_send(session: ChannelSession, payload) -> Payload:
     if isinstance(payload, bytes):
         payload = Payload.opaque(payload)
     seq = session.send_seq
-    # a record frame is its header plus the ciphertext the Sealed term holds
     ct = aead_seal(session.send_key, seq, payload.data)
     frame = (bytes([session.send_dir]) + seq.to_bytes(8, "big")
              + len(ct).to_bytes(4, "big") + ct)
     session.send_seq += 1
-    term = terms.Sealed(_key_label(session.send_key), seq, payload.term, ct)
+    # the term reads its ciphertext off the frame: one copy of the bytes
+    term = terms.Sealed(_key_label(session.send_key), seq, payload.term,
+                        frame, _HDR)
     return Payload(frame, term)
 
 
@@ -197,8 +204,7 @@ class ClientHandshake:
         self._c_fin = None
 
     def client_hello(self) -> Payload:
-        return Payload.of(terms.cat(terms.blob(b"client-hello", "text"),
-                                    terms.nonce(self.r_c)))
+        return Payload.of(terms.cat(_CLIENT_HELLO, terms.nonce(self.r_c)))
 
     def receive_server_flight(self, flight2: bytes) -> Payload:
         tag, r_s, ident_b, ske_pub_b, ske_sig = wire.expect_fields(flight2, 5)
@@ -230,7 +236,7 @@ class ClientHandshake:
         self._c_fin = c_fin
         client_pub = self.backend.generator.exp(self.e_c).encode()
         return Payload.of(terms.cat(
-            terms.blob(b"client-kex", "text"), terms.element_atom(client_pub),
+            _CLIENT_KEX, terms.element_atom(client_pub),
             terms.Sealed(_key_label(c_write), FIN_SEQ, terms.blob(transcript),
                          c_fin)))
 
@@ -276,7 +282,7 @@ class ServerHandshake:
         ske_sig = self.static_key.sign(
             wire.pack_fields(b"key-exchange", r_c, self.r_s, ske_pub))
         flight2 = Payload.of(terms.cat(
-            terms.blob(b"server-hello", "text"), terms.nonce(self.r_s),
+            _SERVER_HELLO, terms.nonce(self.r_s),
             terms.blob(self.identity.encode()), terms.element_atom(ske_pub),
             terms.blob(ske_sig)))
         self._flight2 = flight2.data
@@ -306,7 +312,7 @@ class ServerHandshake:
                                         self._flight2, c_fin)
         s_fin = aead_seal(s_write, FIN_SEQ, transcript)
         return Payload.of(terms.cat(
-            terms.blob(b"server-fin", "text"),
+            _SERVER_FIN,
             terms.Sealed(_key_label(s_write), FIN_SEQ, terms.blob(transcript),
                          s_fin)))
 

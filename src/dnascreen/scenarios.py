@@ -8,6 +8,10 @@ agreement of each query, order and cookie secrecy, injective agreement,
 rate-limit attribution and, without resumption, record-slot uniqueness); a
 scenario names the checks it predicts to be violated, and ships its
 transcript.
+
+A finished run keeps its world, and with it the network's transcript of
+events; ``ScenarioResult.transcript_text`` renders that transcript each time
+it is read, so a run that nobody prints never holds its text.
 """
 
 from collections import Counter, defaultdict
@@ -112,10 +116,14 @@ class ScenarioResult:
     name: str
     world: "World"
     outcome: ScenarioOutcome
-    transcript_text: str
     # what each script query got, in order: a QueryResponse or the
     # ScreeningError it raised
     replies: list = field(default_factory=list)
+
+    @property
+    def transcript_text(self) -> str:
+        """The world's transcript, rendered afresh on each read."""
+        return self.world.net.transcript.render()
 
 
 class World:
@@ -539,8 +547,7 @@ def run_scenario(config: ScenarioConfig, script: str, seed: int,
     assertions += [Assertion(i, True, "no such check was made", expected=False)
                    for i in sorted(set(violated) - {a.id for a in assertions})]
     outcome = ScenarioOutcome(name, assertions)
-    return ScenarioResult(name, world, outcome,
-                          world.net.transcript.render(), replies)
+    return ScenarioResult(name, world, outcome, replies)
 
 
 # --- honest scenarios ---------------------------------------------------------

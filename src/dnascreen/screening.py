@@ -77,6 +77,14 @@ HIT_EXEMPT = "hit-exempt"
 DEFAULT_MAX_SEQUENCE_LEN = 30
 TOTP_WINDOW_SECONDS = 30
 
+# bound once: every message shares its tag's atom and the label hashed for it
+TAG_KS_EVAL = terms.blob(b"ks-eval", "text")
+TAG_KS_EVAL_OK = terms.blob(b"ks-eval-ok", "text")
+TAG_HDB_QUERY = terms.blob(b"hdb-query", "text")
+TAG_AUTH_VERIFY = terms.blob(b"auth-verify", "text")
+TAG_RESUME = terms.blob(b"resume", "text")
+TAG_ERROR = terms.blob(b"error", "text")
+
 
 def hashed_seq_label(seq: bytes) -> str:
     """Formal name of the hashed-to-group image of one sequence."""
@@ -165,7 +173,7 @@ def encode_query_payload(req: QueryRequest) -> Payload:
         terms.blob(ex.chain_bytes), terms.blob(ex.auth_code.encode(), "text"),
         terms.cat(*map(terms.element_atom, ex.hashed_exempt)))
     return Payload.of(terms.cat(
-        terms.blob(b"hdb-query", "text"), terms.Atom("cookie", req.cookie),
+        TAG_HDB_QUERY, terms.Atom("cookie", req.cookie),
         terms.cat(*map(terms.element_atom, req.hashed)), ex_term))
 
 
@@ -294,7 +302,7 @@ def auth_backend_verify(devices: dict, device_id: str, code: str,
 # --- wire helpers shared by roles -----------------------------------------------------
 
 def error_payload(err: Exception) -> Payload:
-    return Payload.of(terms.cat(terms.blob(b"error", "text"),
+    return Payload.of(terms.cat(TAG_ERROR,
                                 terms.blob(type(err).__name__.encode(), "text"),
                                 terms.blob(str(err).encode(), "text")))
 
@@ -458,8 +466,7 @@ class KeyserverRole(ServerRole):
         for b, t in zip(element_bytes, in_terms):
             res = eval_share(self.share, self.backend.decode_element(b)).encode()
             out_terms.append(_extend_element_term(t, self.share.value, res))
-        return Payload.of(terms.cat(terms.blob(b"ks-eval-ok", "text"),
-                                    *out_terms))
+        return Payload.of(terms.cat(TAG_KS_EVAL_OK, *out_terms))
 
     def long_term_key_atoms(self):
         return super().long_term_key_atoms() + [
@@ -515,7 +522,7 @@ class HashedDbRole(ServerRole):
         session = handshake_client(conn.send, self.auth_backend_name,
                                    self.channel_ca_key, self.backend, self.rng)
         self.net.register_channel(self.name, session)
-        req = terms.cat(terms.blob(b"auth-verify", "text"),
+        req = terms.cat(TAG_AUTH_VERIFY,
                         terms.blob(wire.pack_str(device_id), "text"),
                         terms.Atom("code", wire.pack_str(code)),
                         terms.blob(wire.pack_u64(now), "text"))
@@ -604,6 +611,8 @@ class SynthesizerRole:
         self.net = None
         self._hdb_session: ChannelSession | None = None
         self.peer_chains = PeerChains()
+        # infrastructure tokens this synthesizer refuses (keyservers, H)
+        self.revocations = RevocationList()
 
     # -- connection management --
 
@@ -621,7 +630,7 @@ class SynthesizerRole:
                 net.note(f"resumption attempt failed: {type(err).__name__}")
             if resumed is not None:
                 reply = conn.send(Payload.of(terms.cat(
-                    terms.blob(b"resume", "text"),
+                    TAG_RESUME,
                     terms.blob(self._hdb_session.session_id()))))
                 if wire.unpack_fields(reply) == [b"resume-ok"]:
                     session = resumed
@@ -632,8 +641,8 @@ class SynthesizerRole:
                                        resumption_allowed=self.config.resumption)
         scep_session = ScepClientSession(
             self.config.scep_variant, self.chain, self.signing_key,
-            self.trusted_infra_root, self.rng, keyserver_extra=keyserver_extra,
-            peer_chains=self.peer_chains)
+            self.trusted_infra_root, self.rng, revocations=self.revocations,
+            keyserver_extra=keyserver_extra, peer_chains=self.peer_chains)
         # a server that rejects the hello answers with an error record
         respond = channel_recv(session, conn.send(scep_session.hello(session)))
         raise_error_record(wire.unpack_fields(respond))
@@ -650,7 +659,7 @@ class SynthesizerRole:
         """One eval round against every linked keyserver; returns keyed hashes."""
         responses_by_ks = []
         for link in links:
-            req = terms.cat(terms.blob(b"ks-eval", "text"),
+            req = terms.cat(TAG_KS_EVAL,
                             terms.Atom("cookie", link.scep.cookie), *blinded)
             reply = open_reply(link.channel, link.conn.send(
                 channel_send(link.channel, Payload.of(req))))

@@ -9,6 +9,10 @@ one event at a time (nested dials included).
 The transcript is the network's one log: the adversary's closure reads the
 terms its events keep (``Event.term``, never rendered), notes are its
 ``note`` events, and record slots are read off each record's ``Sealed`` term.
+An event keeps the bytes that crossed the wire, the term the adversary read
+there and a rendered ``view``; a record's ``Sealed`` term shares the event's
+frame rather than a copy of its ciphertext. The transcript's text is rendered
+only when ``Transcript.render`` is called, never kept.
 
 Tap selectors address messages as ``link:direction:conn:slot`` where slot is
 ``rN`` (record with wire sequence N) or ``mN`` (Nth message on that
@@ -27,7 +31,7 @@ from .terms import Payload
 CLOCK_START = 1_000_000_000
 
 
-@dataclass
+@dataclass(slots=True)
 class Event:
     step: int
     clock: int

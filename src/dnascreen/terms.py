@@ -8,6 +8,11 @@ tampering. Record frames, adversary relays, and the one message whose bytes
 are not its term's encoding (the SCEP hello, whose r_S has no length prefix)
 pair bytes and term explicitly in a ``Payload``. Atom labels are derived from
 content hashes, so equal values get equal labels with no plumbing.
+
+A run keeps every term that crossed its network, so terms hold no bytes twice
+and carry no per-instance ``__dict__``: a record's ``Sealed`` keeps the frame
+its transcript event keeps and reads its ciphertext off it, and fixed message
+tags are atoms bound once per module.
 """
 
 import hashlib
@@ -20,7 +25,7 @@ def atom_label(kind: str, data: bytes) -> str:
     return f"{kind}:{hashlib.sha256(data).hexdigest()[:12]}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom:
     """An indivisible value: nonce, key, scalar, group element, or blob."""
 
@@ -33,24 +38,34 @@ class Atom:
             object.__setattr__(self, "label", atom_label(self.kind, self.data))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cat:
     """Concatenation at length-prefixed boundaries the adversary can parse."""
 
     parts: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sealed:
-    """AEAD ciphertext under the key identified by key_label at seq."""
+    """AEAD ciphertext under the key identified by key_label at seq.
+
+    The ciphertext is ``data[start:]``: a record's term keeps its whole frame
+    with ``start`` past the header, the frame its transcript event keeps, so
+    the run holds those bytes once.
+    """
 
     key_label: str
     seq: int
     inner: object
-    ct: bytes
+    data: bytes
+    start: int = 0
+
+    @property
+    def ct(self) -> bytes:
+        return self.data[self.start:]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExpTerm:
     """A group element derived by exponentiating a base atom.
 
@@ -96,7 +111,7 @@ def encode(term) -> bytes:
     return term.data  # Atom, ExpTerm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Payload:
     """Wire bytes plus their structural term."""
 

@@ -12,6 +12,7 @@ from dnascreen.errors import (
     AuthBackendRejected,
     BadCookie,
     BadEltChain,
+    BadServerChain,
     InvalidSequence,
     RateLimited,
     Revoked,
@@ -331,6 +332,16 @@ def test_kept_chains_are_refused_once_revoked():
     assert world.synth.chain.encode() in k1.peer_chains.chains
     k1.scep_config.revocations.revoke_sigma(world.synth.chain.token.sigma)
     with pytest.raises(Revoked):
+        world.synth.basic_query([CLEAN_SEQUENCES[0]])
+
+
+def test_synthesizer_refuses_a_revoked_keyserver_token():
+    world = build_world(ScenarioConfig(), seed=34)
+    world.synth.basic_query([CLEAN_SEQUENCES[0]])
+    k1_chain = world.keyservers["K1"].scep_config.chain
+    assert k1_chain.encode() in world.synth.peer_chains.chains
+    world.synth.revocations.revoke_sigma(k1_chain.token.sigma)
+    with pytest.raises(BadServerChain, match="revoked"):
         world.synth.basic_query([CLEAN_SEQUENCES[0]])
 
 

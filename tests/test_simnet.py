@@ -6,7 +6,16 @@ import weakref
 
 import pytest
 
-from dnascreen import attacks, channel, closure, crypto, scep, screening, terms
+from dnascreen import (
+    attacks,
+    channel,
+    closure,
+    crypto,
+    scep,
+    screening,
+    simnet,
+    terms,
+)
 from dnascreen.closure import Knowledge, build_knowledge, secrecy_probe
 from dnascreen.crypto import TEST_BACKEND, aead_seal
 from dnascreen.errors import ScriptError
@@ -468,6 +477,20 @@ def test_transcript_contains_stable_fields():
     for key in ("step=", "t=", "kind=", "link=", "conn=", "dir=", "seq=",
                 "len=", "data="):
         assert key in line
+
+
+def test_run_scenario_renders_no_transcript(monkeypatch):
+    renders = []
+    real = simnet.Transcript.render
+    monkeypatch.setattr(simnet.Transcript, "render",
+                        lambda self: renders.append(self) or real(self))
+    result = scenario_honest_basic(seed=46)
+    assert renders == []
+    # the text is rendered on each read, from the world's transcript
+    first = result.transcript_text
+    assert len(renders) == 1
+    assert first == result.transcript_text == real(result.world.net.transcript)
+    assert len(renders) == 2
 
 
 def test_script_corrupt_command_applies_strategy():
