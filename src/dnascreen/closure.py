@@ -181,13 +181,6 @@ class ProbeResult:
     evidence: str
 
 
-def secrecy_probe(net, backend: GroupBackend,
-                  secrets: list | None = None) -> list[ProbeResult]:
-    """Per-secret leak verdicts over a freshly built closure of ``net``."""
-    return probe(build_knowledge(net, backend),
-                 secrets if secrets is not None else net.secrets)
-
-
 def probe(kn: Knowledge, secrets: list) -> list[ProbeResult]:
     """Per-secret leak verdicts with derivation evidence."""
     results = []

@@ -40,8 +40,9 @@ derivations (its base point u = 9 is edwards25519's B), and D's constants
 are computed once. Building the two X25519 keys costs OpenSSL a fixed-base
 ladder each, so a ``Scalar`` keeps its keys and later products under it
 skip them. Short scalars, the identity's class and the ~2^-125 share of
-scalars for which neither of +-k has such a form take the signed radix-16
-multiplication in Python.
+scalars for which neither of +-k has such a form take plain double-and-add
+in Python. A screening query on ``prod`` reaches it only with k = 1 and 2,
+from the Lagrange coefficients -1 and 2 at t = 2.
 
 The ``prod`` arithmetic is variable time: the choice of +-k, the fallback
 and the short multiplication branch on the scalar, and the codecs branch on
@@ -237,20 +238,6 @@ def _ed_neg(p1: tuple) -> tuple:
     return -X % _P, Y, Z, -T % _P
 
 
-def _radix16(k: int) -> list[int]:
-    """Signed radix-16 digits of k >= 0, least significant first, each in
-    [-7, 8]; the most significant is positive."""
-    digits = []
-    while k:
-        digit = k & 15
-        k >>= 4
-        if digit > 8:
-            digit -= 16
-            k += 1
-        digits.append(digit)
-    return digits
-
-
 def _cached(p1: tuple) -> tuple:
     """p1 as the (Y - X, Y + X, 2d T, 2 Z) that an addition reads."""
     X, Y, Z, T = p1
@@ -274,41 +261,16 @@ def _ed_add(p1: tuple, p2: tuple) -> tuple:
     return _ed_add_cached(p1, _cached(p2))
 
 
-def _digit_table(p1: tuple, top: int) -> list:
-    """t[j] = j * p1 in cached form for j in [-7, top], j != 0, read with
-    Python's negative indices for negative j."""
-    multiples = [p1]
-    if top > 1:
-        multiples.append(_ed_double(p1))
-    while len(multiples) < top:
-        multiples.append(_ed_add(multiples[-1], p1))
-    cached = [_cached(m) for m in multiples]
-    # -(x, y) = (-x, y): Y - X and Y + X swap and T changes sign
-    negated = [(yp, ym, -t2d % _P, z2) for ym, yp, t2d, z2 in cached[:7]]
-    return [None, *cached, *[None] * (8 - top), *reversed(negated)]
-
-
 def _ed_mul(p1: tuple, k: int) -> tuple:
-    """k * p1 for k >= 0: four doublings and at most one addition per
-    signed radix-16 digit. The first three doublings skip T, which only an
-    addition reads."""
-    digits = _radix16(k)
-    if not digits:
+    """k * p1 for k >= 0 by left-to-right double-and-add."""
+    if not k:
         return _ED_IDENTITY
-    P = _P
-    table = _digit_table(p1, max(map(abs, digits)))
-    acc = _ed_add_cached(_ED_IDENTITY, table[digits.pop()])
-    X, Y, Z, _ = acc
-    for digit in reversed(digits):
-        for _ in range(3):
-            a, b, s = X * X % P, Y * Y % P, X + Y
-            h, g = a + b, a - b
-            e, f = h - s * s % P, 2 * Z * Z % P + g
-            X, Y, Z = e * f % P, g * h % P, f * g % P
-        acc = _ed_double((X, Y, Z, None))
-        if digit:
-            acc = _ed_add_cached(acc, table[digit])
-        X, Y, Z, _ = acc
+    c = _cached(p1)
+    acc = p1
+    for bit in bin(k)[3:]:
+        acc = _ed_double(acc)
+        if bit == "1":
+            acc = _ed_add_cached(acc, c)
     return acc
 
 
@@ -650,11 +612,6 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar({self.value} mod {self.backend.q})"
-
-
-def exp(base: GroupElement, e: Scalar) -> GroupElement:
-    """base^e in the group. exp(exp(x,a),b) == exp(x, a*b mod q)."""
-    return base.exp(e)
 
 
 def hash_to_group(msg: bytes, backend: GroupBackend) -> GroupElement:

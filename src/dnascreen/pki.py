@@ -352,10 +352,6 @@ class CertChain:
         return chain
 
     @property
-    def leaf(self) -> Certificate:
-        return self.path[0]
-
-    @property
     def root(self) -> Certificate:
         return self.path[-1]
 

@@ -3,10 +3,11 @@
 The synthesizer (customer and synthesizer merged into one role) blinds each
 order sequence, has a threshold of keyservers apply their key shares, combines
 and unblinds the results into keyed hashes, and asks the hashed database
-whether each one is listed. The exemption flow adds a second keyserver round
-for the exemption-list sequences and ships the ELT chain plus a one-time
-device code to the database, which clears listed sequences that the ELT
-covers.
+whether each one is listed. That database is a plain dict from each
+hazard's keyed hash to its (name, reason); it never holds a plaintext
+sequence. The exemption flow adds a second keyserver round for the
+exemption-list sequences and ships the ELT chain plus a one-time device code
+to the database, which clears listed sequences that the ELT covers.
 
 Server roles are single-threaded state machines driven one connection at a
 time by the simulator; the only cross-connection state is the rate ledger,
@@ -45,6 +46,7 @@ from .errors import (
     InvalidSequence,
     RateLimited,
     ResponseBindingMismatch,
+    ResumptionDisabled,
     ScreeningError,
     UnknownDevice,
     raise_remote,
@@ -93,49 +95,14 @@ def hashed_seq_label(seq: bytes) -> str:
 
 # --- hazard database -----------------------------------------------------------
 
-class HazardDb:
-    """Keyed hashes of the plaintext hazard list; never the plaintext itself."""
-
-    def __init__(self, backend_name: str,
-                 entries: dict[bytes, tuple[str, str]] | None = None):
-        self.backend_name = backend_name
-        self.entries = entries or {}
-
-    def lookup(self, element_bytes: bytes) -> tuple[str, str] | None:
-        return self.entries.get(element_bytes)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def serialize(self) -> bytes:
-        records = [
-            wire.pack_fields(e, wire.pack_str(n), wire.pack_str(r))
-            for e, (n, r) in sorted(self.entries.items())
-        ]
-        return wire.pack_fields(b"hazard-db", wire.pack_str(self.backend_name),
-                                *records)
-
-    @classmethod
-    def deserialize(cls, b: bytes) -> "HazardDb":
-        fields_ = wire.unpack_fields(b)
-        if not fields_ or fields_[0] != b"hazard-db":
-            raise DecodeError("not a hazard db")
-        entries = {}
-        for rec in fields_[2:]:
-            e, n, r = wire.expect_fields(rec, 3)
-            entries[e] = (wire.unpack_str(n), wire.unpack_str(r))
-        return cls(wire.unpack_str(fields_[1]), entries)
-
-
 def build_hdb(plaintext_hazards: list[tuple[bytes, str, str]],
-              k: Scalar) -> HazardDb:
-    """Keyed-hash every plaintext hazard; duplicates collapse to one entry."""
-    entries = {}
+              k: Scalar) -> dict[bytes, tuple[str, str]]:
+    """{keyed hash: (name, reason)} of every plaintext hazard; a duplicate
+    keeps its first entry."""
+    db = {}
     for seq, name, reason in plaintext_hazards:
-        key = doprf_direct(seq, k).encode()
-        if key not in entries:
-            entries[key] = (name, reason)
-    return HazardDb(k.backend.name, entries)
+        db.setdefault(doprf_direct(seq, k).encode(), (name, reason))
+    return db
 
 
 # --- query messages ------------------------------------------------------------
@@ -215,7 +182,7 @@ def overall_of(verdicts: list) -> str:
 
 # --- database lookup --------------------------------------------------------------
 
-def hdb_lookup(db: HazardDb, request: QueryRequest, ledger: RateLimitLedger,
+def hdb_lookup(db: dict, request: QueryRequest, ledger: RateLimitLedger,
                now: int, *, expected_cookie: bytes, sigma: bytes, mu: int,
                exemption_root: Certificate | None = None,
                revocations: RevocationList | None = None,
@@ -260,18 +227,18 @@ def hdb_lookup(db: HazardDb, request: QueryRequest, ledger: RateLimitLedger,
     return screen_hashed(db, request.hashed, exempt_set)
 
 
-def oracle_query(order: list, k: Scalar, db: HazardDb,
+def oracle_query(order: list, k: Scalar, db: dict,
                  exempt_seqs: tuple = ()) -> QueryResponse:
     """No-network oracle: keyed-hash each sequence directly and scan the db."""
     return screen_hashed(db, [doprf_direct(s, k).encode() for s in order],
                          {doprf_direct(s, k).encode() for s in exempt_seqs})
 
 
-def screen_hashed(db: HazardDb, hashed: list, exempt: set) -> QueryResponse:
+def screen_hashed(db: dict, hashed: list, exempt: set) -> QueryResponse:
     """The verdict on each encoded keyed hash: clear, exempt hit, or hit."""
     verdicts = []
     for elt in hashed:
-        meta = db.lookup(elt)
+        meta = db.get(elt)
         if meta is None:
             verdicts.append(Verdict(CLEAR))
         elif elt in exempt:
@@ -500,7 +467,7 @@ class HashedDbRole(ServerRole):
     requests = {b"hdb-query": "_query"}
 
     def __init__(self, name, backend, tls_identity, tls_key,
-                 scep_config: ScepServerConfig, db: HazardDb, rng, *,
+                 scep_config: ScepServerConfig, db: dict, rng, *,
                  exemption_root: Certificate, auth_backend_name: str,
                  channel_ca_key: VerifyKey, bind_responses: bool,
                  resumption_allowed: bool,
@@ -578,7 +545,7 @@ class AuthBackendRole(ServerRole):
 @dataclass
 class SynthesizerConfig:
     scep_variant: str
-    keyservers: list  # dial order; the first `threshold` reachable are used
+    keyservers: list  # the first `threshold` listed are dialled; no failover
     hdb: str
     threshold: int
     bind_responses: bool = False
@@ -625,7 +592,7 @@ class SynthesizerRole:
             resumed = None
             try:
                 resumed = resume_session(self._hdb_session)
-            except Exception as err:
+            except ResumptionDisabled as err:
                 # Recorded and fall back to a full handshake.
                 net.note(f"resumption attempt failed: {type(err).__name__}")
             if resumed is not None:

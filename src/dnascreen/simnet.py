@@ -112,15 +112,6 @@ class TapRule:
     fired: bool = False
 
 
-def _classify(data: bytes) -> tuple[str, int | None]:
-    """Record frames are recognizable by their fixed header."""
-    if len(data) >= 13 and data[0] in (0x01, 0x02):
-        length = int.from_bytes(data[9:13], "big")
-        if length == len(data) - 13:
-            return "record", int.from_bytes(data[1:9], "big")
-    return "hs", None
-
-
 class Conn:
     """Client handle for one connection; each send is one network round trip."""
 
@@ -205,7 +196,11 @@ class SimNetwork:
 
     def transfer(self, conn: Conn, direction: str, payload: Payload
                  ) -> Payload | None:
-        kind, rec_seq = _classify(payload.data)
+        # a record's term is the Sealed one that channel_send framed
+        if isinstance(payload.term, terms.Sealed):
+            kind, rec_seq = "record", payload.term.seq
+        else:
+            kind, rec_seq = "hs", None
         nth = conn.msg_count[direction]
         conn.msg_count[direction] += 1
 

@@ -16,7 +16,6 @@ from dnascreen.crypto import (
     TEST_BACKEND,
     aead_open,
     aead_seal,
-    exp,
     get_backend,
     hash_to_group,
     SigningKey,
@@ -48,27 +47,27 @@ def test_test_backend_parameters():
 
 
 def test_exp_identity_exponent():
-    assert exp(B.generator, B.scalar(1)).value == 2
+    assert B.generator.exp(B.scalar(1)).value == 2
 
 
 def test_exp_known_value():
     # modular-exponentiation oracle: 2^5 mod 23
-    assert exp(B.generator, B.scalar(5)).value == pow(2, 5, 23) == 9
+    assert B.generator.exp(B.scalar(5)).value == pow(2, 5, 23) == 9
 
 
 def test_exp_composition_law_exhaustive():
-    # exp(exp(x,a),b) == exp(x, a*b mod q), brute force over the whole group
+    # (x^a)^b == x^(a*b mod q), brute force over the whole group
     for x in B.all_elements():
         for a in range(B.q):
             for b in range(B.q):
-                lhs = exp(exp(x, B.scalar(a)), B.scalar(b))
-                rhs = exp(x, B.scalar((a * b) % B.q))
+                lhs = x.exp(B.scalar(a)).exp(B.scalar(b))
+                rhs = x.exp(B.scalar((a * b) % B.q))
                 assert lhs == rhs
 
 
 def test_exp_composition_spec_example():
-    lhs = exp(exp(B.generator, B.scalar(3)), B.scalar(4))
-    assert lhs == exp(B.generator, B.scalar(12 % 11))
+    lhs = B.generator.exp(B.scalar(3)).exp(B.scalar(4))
+    assert lhs == B.generator.exp(B.scalar(12 % 11))
     assert lhs.value == 2
 
 
@@ -312,7 +311,7 @@ def _encode(point: tuple) -> bytes:
 
 def test_prod_pow_matches_ed_mul():
     # hashed points, generator multiples, and each of them moved by every
-    # 4-torsion point, against the signed radix-16 reference
+    # 4-torsion point, against the double-and-add reference
     rng = random.Random(17)
     points = [hash_to_group(rng.randbytes(8), P).value for _ in range(3)]
     points += [P.generator.value, P.generator.exp(P.random_scalar(rng)).value]
@@ -324,6 +323,18 @@ def test_prod_pow_matches_ed_mul():
     for v in [P.identity.value] + TORSION:
         for k in [rng.randrange(P.q) for _ in range(4)] + list(EDGE_SCALARS):
             assert _encode(P._pow(v, k)) == bytes(32)
+
+
+def test_ed_mul_is_repeated_addition():
+    # k = 0..64 on a hashed point and on it moved by each 4-torsion point
+    x = hash_to_group(b"repeated addition", P).value
+    for v in [x] + [crypto._ed_add(x, t) for t in TORSION]:
+        acc = crypto._ED_IDENTITY
+        for k in range(65):
+            got = crypto._ed_mul(v, k)
+            assert _affine(got) == _affine(acc)
+            assert _encode(got) == _encode(acc)
+            acc = crypto._ed_add(acc, v)
 
 
 def test_prod_long_scalars_take_the_x25519_ladder(monkeypatch):
@@ -547,6 +558,6 @@ def test_prod_backend_group_law():
     rng = random.Random(3)
     x = hash_to_group(b"order", P)
     a, b = P.random_scalar(rng), P.random_scalar(rng)
-    assert exp(exp(x, a), b) == exp(x, a.mul(b))
+    assert x.exp(a).exp(b) == x.exp(a.mul(b))
     assert not hash_to_group(b"anything", P).is_identity()
     assert get_backend("prod") is P

@@ -131,7 +131,7 @@ DOCTORED_LEAVES = {
 
 def _doctored(chain, cert_type=None, level=None, name=None):
     """The chain with its leaf's type, level or subject name replaced."""
-    leaf = chain.leaf
+    leaf = chain.path[0]
     desc = wire.pack_fields(wire.pack_u32(leaf.desc.version),
                             wire.pack_str(cert_type or leaf.desc.cert_type),
                             wire.pack_str(level or leaf.desc.level))

@@ -32,7 +32,6 @@ from dnascreen.screening import (
     HIT,
     HIT_EXEMPT,
     ExemptionPart,
-    HazardDb,
     QueryRequest,
     QueryResponse,
     Verdict,
@@ -55,7 +54,7 @@ def test_build_hdb_empty():
 def test_build_hdb_duplicates_collapse():
     k = B.scalar(7)
     db = build_hdb([(b"AAAA", "x", "r1"), (b"AAAA", "x", "r2")], k)
-    assert len(db) == 1
+    assert list(db.values()) == [("x", "r1")]
 
 
 def test_build_hdb_membership_rebuild_oracle():
@@ -64,19 +63,18 @@ def test_build_hdb_membership_rebuild_oracle():
     hazards = [(rng.randbytes(12), f"h{i}", "reason") for i in range(20)]
     db = build_hdb(hazards, k)
     for seq, _, _ in hazards:
-        assert db.lookup(doprf_direct(seq, k).encode()) is not None
+        assert db.get(doprf_direct(seq, k).encode()) is not None
 
 
-def test_hdb_serialization_roundtrip_and_secrecy_at_rest():
-    k = B.scalar(5)
-    hazards = [(seq, name, reason) for seq, name, reason in DEFAULT_HAZARDS]
-    db = build_hdb(hazards, k)
-    blob = db.serialize()
-    again = HazardDb.deserialize(blob)
-    assert again.entries == db.entries
-    # the serialized role state never contains plaintext hazard bytes
-    for seq, _, _ in hazards:
-        assert seq not in blob
+def test_hdb_holds_no_plaintext_sequence():
+    # the database keeps keyed hashes and labels, never a listed sequence
+    for backend in (B, crypto.PROD_BACKEND):
+        db = build_hdb(DEFAULT_HAZARDS, backend.scalar(5))
+        assert len(db) == len(DEFAULT_HAZARDS)
+        for seq, _, _ in DEFAULT_HAZARDS:
+            for key, (name, reason) in db.items():
+                assert seq not in key
+                assert seq.decode() not in name + reason
 
 
 def _request(k, order, cookie=b"\x11" * 32, exemption=None):
@@ -432,6 +430,19 @@ def test_prod_basic_query_operation_counts(monkeypatch, n):
     counts = count_operations(monkeypatch,
                               lambda: world.synth.basic_query(order))
     assert counts == {"exp": 12 + 6 * n, "member": 6 + 4 * n, "verify": 36}
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_prod_short_products_are_the_lagrange_coefficients(monkeypatch, n):
+    # every other product takes the X25519 ladders; at t = 2 the combine's
+    # coefficients 2 and -1 (a negated k = 1) are all that _ed_mul sees
+    world = build_world(ScenarioConfig(backend_name="prod"), seed=29)
+    ks, ed_mul = [], crypto._ed_mul
+    monkeypatch.setattr(crypto, "_ed_mul",
+                        lambda v, k: ks.append(k) or ed_mul(v, k))
+    world.synth.basic_query(CLEAN_SEQUENCES[:n])
+    assert len(ks) == 2 * n
+    assert Counter(ks) == {1: n, 2: n}
 
 
 def test_prod_exemption_query_operation_counts(monkeypatch):

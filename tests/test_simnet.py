@@ -16,7 +16,7 @@ from dnascreen import (
     simnet,
     terms,
 )
-from dnascreen.closure import Knowledge, build_knowledge, secrecy_probe
+from dnascreen.closure import Knowledge, build_knowledge, probe
 from dnascreen.crypto import TEST_BACKEND, aead_seal
 from dnascreen.errors import ScriptError
 from dnascreen.scenarios import (
@@ -216,6 +216,18 @@ def test_swap_tap_replaces_bytes():
 # --- closure engine ------------------------------------------------------------
 
 
+def test_record_events_carry_their_frames_header():
+    # transfer classifies by the Sealed term; the frame's header agrees
+    records = [ev for run in attacks.all_scenarios().values()
+               for ev in run(1).world.net.transcript.records()]
+    for ev in records:
+        direction, seq, ct = channel.parse_record_header(ev.data)
+        assert direction in (1, 2)
+        assert seq == ev.seq
+        assert int.from_bytes(ev.data[9:13], "big") == len(ct)
+    assert len(records) > 500
+
+
 def test_closure_splits_and_decrypts():
     key = bytes(range(32))
     inner = terms.cat(terms.Atom("cookie", b"\xaa" * 32), terms.nonce(b"\xbb" * 32))
@@ -315,7 +327,8 @@ def test_holds_bytes_returns_first_added_atom():
 
 def test_secrecy_probe_over_honest_scenario():
     result = scenario_honest_basic(seed=41)
-    probes = secrecy_probe(result.world.net, result.world.backend)
+    net = result.world.net
+    probes = probe(build_knowledge(net, result.world.backend), net.secrets)
     assert probes and all(not p.leaked for p in probes)
     assert all(p.evidence == "not derivable" for p in probes)
 

@@ -3,7 +3,7 @@
 import pytest
 
 from dnascreen import attacks, channel, scep, screening, terms, wire
-from dnascreen.simnet import Event, SimNetwork, _classify
+from dnascreen.simnet import Event, SimNetwork
 from dnascreen.terms import Payload
 
 
@@ -58,7 +58,7 @@ def test_every_shipped_message_is_its_terms_encoding(monkeypatch):
     original_transfer = SimNetwork.transfer
 
     def checked_transfer(self, conn, direction, payload):
-        if _classify(payload.data)[0] != "record":
+        if not isinstance(payload.term, terms.Sealed):
             check(payload)
         return original_transfer(self, conn, direction, payload)
 

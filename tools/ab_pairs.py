@@ -20,16 +20,20 @@ quartiles, the ratio of B's median to A's, and the pairs each side won
 
 Each run lasts ``run_seconds`` of ``BENCHMARK.json``, as the benchmark's own.
 
-Nothing under ``perfbench/`` is touched; the runs write only what
-``run.py`` writes itself.
+The runs use copies of the two checkouts, made at ``<tmp>/ab/a`` and
+``<tmp>/ab/b`` and deleted afterwards: peak RSS moves with the length of the
+path a checkout sits at, so two paths of one length keep a location from
+reading as a change. Neither checkout is touched.
 """
 
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -112,6 +116,16 @@ def print_table(workload: str, n_pairs: int, rows: list):
               f"{wins_a:>6} {wins_b:>6}")
 
 
+def copy_checkouts(checkouts: list, tmp: str) -> list:
+    """Copies of the checkouts at ``<tmp>/ab/a`` and ``<tmp>/ab/b``."""
+    ignore = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
+                                    "traces")
+    copies = [Path(tmp) / "ab" / side for side in "ab"]
+    for checkout, copy in zip(checkouts, copies):
+        shutil.copytree(checkout, copy, ignore=ignore)
+    return copies
+
+
 def main(argv=None):
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in bench["workloads"]]
@@ -130,11 +144,14 @@ def main(argv=None):
     args = ap.parse_args(argv)
     checkouts = [args.a.resolve(), args.b.resolve()]
     print(f"A = {checkouts[0]}\nB = {checkouts[1]}")
-    for workload in args.workload or workloads:
-        pairs = [run_pair(checkouts, workload, seed, bench["run_seconds"])
-                 for seed in range(args.first_seed,
-                                   args.first_seed + args.pairs)]
-        print_table(workload, len(pairs), summary(pairs, bench["end_to_end"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        copies = copy_checkouts(checkouts, tmp)
+        for workload in args.workload or workloads:
+            pairs = [run_pair(copies, workload, seed, bench["run_seconds"])
+                     for seed in range(args.first_seed,
+                                       args.first_seed + args.pairs)]
+            print_table(workload, len(pairs),
+                        summary(pairs, bench["end_to_end"]))
 
 
 if __name__ == "__main__":
