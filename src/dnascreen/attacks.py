@@ -150,7 +150,7 @@ class _MitmConnection(ServerConnection):
         role: MitmKeyserver = self.role
         if self.scep is None:
             # step [1]: the client volunteers its nonce and token chain
-            r_s, client_chain, _extra = decode_hello(request.data)
+            r_s, client_chain = decode_hello(request.data)
             omega_w, r_w = role.attack_open_target_session(request)
             # step [4]: answer the client with our own token but the
             # target's cookie and nonce, signed by our own token key

@@ -2,7 +2,7 @@
 
 Both variants run inside an established channel as three messages:
 
-  1. client hello:   r_S || client token chain || opaque keyserver extras
+  1. client hello:   r_S || client token chain
   2. server respond: omega || r_W || server token chain || sig_server
   3. client finish:  omega || sig_client
 
@@ -68,23 +68,18 @@ def mutauth_hash(variant: str, label: bytes, r_s: bytes, r_w: bytes,
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def encode_hello(r_s: bytes, chain: CertChain, extra: bytes = b"") -> Payload:
-    chain_b = chain.encode()
-    # explicit bytes: r_S goes out without a length prefix
-    return Payload(r_s + wire.pack_fields(chain_b, extra),
-                   terms.cat(terms.nonce(r_s), terms.blob(chain_b),
-                             terms.blob(extra, "text")))
+def encode_hello(r_s: bytes, chain: CertChain) -> Payload:
+    return Payload.of(terms.cat(terms.nonce(r_s), terms.blob(chain.encode())))
 
 
 def decode_hello(plaintext: bytes, decode_chain=CertChain.decode
-                 ) -> tuple[bytes, CertChain, bytes]:
-    """(r_S, client chain, extra); ``decode_chain`` turns the chain's bytes
-    into a chain, e.g. a role's ``PeerChains.decode``."""
-    if len(plaintext) < NONCE_SIZE:
-        raise DecodeError("hello shorter than its nonce")
-    r_s = plaintext[:NONCE_SIZE]
-    chain_b, extra = wire.expect_fields(plaintext[NONCE_SIZE:], 2)
-    return r_s, decode_chain(chain_b), extra
+                 ) -> tuple[bytes, CertChain]:
+    """(r_S, client chain); ``decode_chain`` turns the chain's bytes into a
+    chain, e.g. a role's ``PeerChains.decode``."""
+    r_s, chain_b = wire.expect_fields(plaintext, 2)
+    if len(r_s) != NONCE_SIZE:
+        raise DecodeError(f"hello nonce is {len(r_s)} bytes, not {NONCE_SIZE}")
+    return r_s, decode_chain(chain_b)
 
 
 def encode_respond(omega: bytes, r_w: bytes, chain: CertChain,
@@ -128,7 +123,6 @@ class ScepClientSession:
     def __init__(self, variant: str, chain: CertChain, signing_key: SigningKey,
                  trusted_infra_root: Certificate, rng,
                  revocations: RevocationList | None = None,
-                 keyserver_extra: bytes = b"",
                  peer_chains: PeerChains | None = None):
         assert variant in VARIANTS
         self.variant = variant
@@ -136,7 +130,6 @@ class ScepClientSession:
         self.signing_key = signing_key
         self.trusted_infra_root = trusted_infra_root
         self.revocations = revocations or RevocationList()
-        self.keyserver_extra = keyserver_extra
         self.peer_chains = peer_chains or PeerChains()
         self.r_s = rng.randbytes(NONCE_SIZE)
         self.r_w = None
@@ -145,7 +138,7 @@ class ScepClientSession:
         self.state = STATE_INIT
 
     def hello(self, channel: ChannelSession) -> Payload:
-        payload = encode_hello(self.r_s, self.chain, self.keyserver_extra)
+        payload = encode_hello(self.r_s, self.chain)
         self.state = STATE_HELLO_SENT
         return channel_send(channel, payload)
 
@@ -228,8 +221,7 @@ class ScepServerSession:
 
     def respond(self, hello_plain: bytes, channel: ChannelSession, rng,
                 now: int) -> Payload:
-        r_s, client_chain, _extra = decode_hello(hello_plain,
-                                                 self.peer_chains.decode)
+        r_s, client_chain = decode_hello(hello_plain, self.peer_chains.decode)
         try:
             validate_chain(client_chain, self.config.trusted_manufacturer_root,
                            now, self.config.revocations)

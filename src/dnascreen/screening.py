@@ -5,9 +5,9 @@ order sequence, has a threshold of keyservers apply their key shares, combines
 and unblinds the results into keyed hashes, and asks the hashed database
 whether each one is listed. That database is a plain dict from each
 hazard's keyed hash to its (name, reason); it never holds a plaintext
-sequence. The exemption flow adds a second keyserver round for the
-exemption-list sequences and ships the ELT chain plus a one-time device code
-to the database, which clears listed sequences that the ELT covers.
+sequence. The exemption flow adds the exemption list to the order's one
+keyserver batch and ships its keyed hashes, the ELT chain and a one-time
+device code to the database, which clears listed sequences the ELT covers.
 
 Server roles are single-threaded state machines driven one connection at a
 time by the simulator; the only cross-connection state is the rate ledger,
@@ -583,8 +583,7 @@ class SynthesizerRole:
 
     # -- connection management --
 
-    def _connect(self, server: str, keyserver_extra: bytes = b"",
-                 try_resume: bool = False) -> ServerLink:
+    def _connect(self, server: str, try_resume: bool = False) -> ServerLink:
         net = self.net
         conn = net.dial(self.name, server)
         session = None
@@ -609,7 +608,7 @@ class SynthesizerRole:
         scep_session = ScepClientSession(
             self.config.scep_variant, self.chain, self.signing_key,
             self.trusted_infra_root, self.rng, revocations=self.revocations,
-            keyserver_extra=keyserver_extra, peer_chains=self.peer_chains)
+            peer_chains=self.peer_chains)
         # a server that rejects the hello answers with an error record
         respond = channel_recv(session, conn.send(scep_session.hello(session)))
         raise_error_record(wire.unpack_fields(respond))
@@ -696,21 +695,18 @@ class SynthesizerRole:
 
     def _query(self, order: list, elt_chain: CertChain | None,
                auth_code: str, resume_hdb: bool) -> QueryResponse:
-        """Screen an order; an ELT chain adds the exemption-list batch."""
+        """Screen an order; an ELT chain's list joins its keyserver batch."""
         self._check_order(order)
-        batches = [order]
-        if elt_chain is not None:
-            batches.append(list(elt_chain.token.payload.sequences))
+        exempt = [] if elt_chain is None else elt_chain.token.payload.sequences
         beta = random_blinding(self.backend, self.rng)
-        blinded = [self._blind_batch(batch, beta) for batch in batches]
-        links = [self._connect(n, keyserver_extra=b"keyserver " + n.encode())
+        bterms = self._blind_batch([*order, *exempt], beta)
+        links = [self._connect(n)
                  for n in self.config.keyservers[: self.config.threshold]]
-        keyed = [self._assemble(self._keyserver_round(links, bterms),
-                                len(bterms), beta)
-                 for bterms in blinded]
+        keyed = self._assemble(self._keyserver_round(links, bterms),
+                               len(bterms), beta)
         hdb = self._connect(self.config.hdb, try_resume=resume_hdb)
-        exemption = None
-        if elt_chain is not None:
-            exemption = ExemptionPart(elt_chain.encode(), auth_code, keyed[1])
-        return self._hdb_round(hdb, QueryRequest(hdb.scep.cookie, keyed[0],
+        n = len(order)
+        exemption = None if elt_chain is None else ExemptionPart(
+            elt_chain.encode(), auth_code, keyed[n:])
+        return self._hdb_round(hdb, QueryRequest(hdb.scep.cookie, keyed[:n],
                                                  exemption))

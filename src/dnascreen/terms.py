@@ -4,10 +4,10 @@ A message is built once, as a term; ``encode`` derives its wire bytes by
 packing each ``Cat``'s parts as length-prefixed fields, so the structure the
 closure engine splits, decrypts, and exponentiates is exactly the structure
 on the wire. The bytes stay ground truth for transcripts and byte-level
-tampering. Record frames, adversary relays, and the one message whose bytes
-are not its term's encoding (the SCEP hello, whose r_S has no length prefix)
-pair bytes and term explicitly in a ``Payload``. Atom labels are derived from
-content hashes, so equal values get equal labels with no plumbing.
+tampering. Record frames, and requests opened or relayed under the term they
+arrived with, pair bytes and term explicitly in a ``Payload``; every message
+a role builds is its term's encoding. Atom labels are derived from content
+hashes, so equal values get equal labels with no plumbing.
 
 A run keeps every term that crossed its network, so terms hold no bytes twice
 and carry no per-instance ``__dict__``: a record's ``Sealed`` keeps the frame

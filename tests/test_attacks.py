@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from dnascreen import terms
 from dnascreen.attacks import (
     all_scenarios,
     attack_mitm_rate_limit,
@@ -191,12 +192,16 @@ def _brute_force_agreement(world) -> list:
     return out
 
 
-def _fingerprint_adversary_script() -> str:
+def _fingerprint():
     path = Path(__file__).resolve().parents[1] / "tools" / "fingerprint.py"
     spec = importlib.util.spec_from_file_location("fingerprint", path)
     fingerprint = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(fingerprint)
-    return fingerprint.adversary_script(DEFAULT_HAZARDS, CLEAN_SEQUENCES)
+    return fingerprint
+
+
+def _fingerprint_adversary_script() -> str:
+    return _fingerprint().adversary_script(DEFAULT_HAZARDS, CLEAN_SEQUENCES)
 
 
 @pytest.mark.parametrize("seed", [1, 12, 40])
@@ -225,3 +230,50 @@ def test_attribution_flags_debits_no_single_holder_made(name, flagged):
     for seed in (2, 9):
         check = attribution_assertion(all_scenarios()[name](seed).world)
         assert check.passed is not flagged, (seed, check.evidence)
+
+
+def _ks_eval_counts(transcript):
+    """c2s ``ks-eval`` records per synthesizer->keyserver connection, and the
+    connections whose query went on to dial the database: every keyserver of
+    such a query answered its round."""
+    counts, pending, answered = {}, [], set()
+    for ev in transcript.events:
+        src, _, dst = ev.link.partition("->")
+        if not src.startswith("S"):
+            continue
+        key = (ev.link, ev.conn)
+        if dst.startswith("K"):
+            if key not in counts:
+                counts[key] = 0
+                pending.append(key)
+            if ev.kind == "record" and ev.direction == "c2s":
+                inner = ev.term.inner
+                if (isinstance(inner, terms.Cat)
+                        and inner.parts[0].data == b"ks-eval"):
+                    counts[key] += 1
+        elif dst == "H":
+            answered.update(pending)
+            pending = []
+    return counts, answered
+
+
+def test_one_ks_eval_per_keyserver_connection():
+    # a keyserver sees one batch per query: the order and any exemption
+    # list together, so it cannot tell which queries carry a list
+    results = [run(seed) for run in all_scenarios().values()
+               for seed in range(1, 5)]
+    fingerprint = _fingerprint()
+    script = fingerprint.mixed_script(DEFAULT_HAZARDS, CLEAN_SEQUENCES)
+    seed = fingerprint.SCRIPT_SEED
+    results += [run_scenario(ScenarioConfig(
+        resumption=resumption, bind_responses=bind,
+        elt_sequences=(DEFAULT_HAZARDS[0][0],)), script, seed)
+        for resumption in (False, True) for bind in (False, True)]
+    answered_total = 0
+    for result in results:
+        counts, answered = _ks_eval_counts(result.world.net.transcript)
+        assert all(n <= 1 for n in counts.values()), (result.outcome.name,
+                                                      counts)
+        assert all(counts[key] == 1 for key in answered), result.outcome.name
+        answered_total += len(answered)
+    assert answered_total > 400

@@ -155,6 +155,28 @@ def test_hello_with_doctored_certificate(world, server, doctor):
         open_reply(session, reply)
 
 
+def _short_nonce_hello(chain_b: bytes) -> bytes:
+    return wire.pack_fields(b"\x00" * (scep.NONCE_SIZE - 1), chain_b)
+
+
+def _raw_nonce_hello(chain_b: bytes) -> bytes:
+    # the earlier layout: r_S without a length prefix, then an extras field
+    return b"\x00" * scep.NONCE_SIZE + wire.pack_fields(chain_b, b"")
+
+
+@pytest.mark.parametrize("layout", [_short_nonce_hello, _raw_nonce_hello],
+                         ids=["31-byte-nonce", "raw-nonce"])
+@pytest.mark.parametrize("server", ["K1", "H"])
+def test_hello_with_malformed_nonce(world, server, layout):
+    conn = world.net.dial("S", server)
+    session = handshake_client(conn.send, server, world.channel_ca.verify_key,
+                               world.backend, world.net.rng)
+    hello = layout(world.synth.chain.encode())
+    reply = conn.send(channel_send(session, hello))
+    with pytest.raises(DecodeError):
+        open_reply(session, reply)
+
+
 @pytest.mark.parametrize("doctor", DOCTORED_LEAVES.values(),
                          ids=DOCTORED_LEAVES.keys())
 def test_respond_with_doctored_certificate(world, monkeypatch, doctor):

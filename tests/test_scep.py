@@ -93,9 +93,9 @@ class World:
             trusted_manufacturer_root=self.m_root,
             revocations=revocations or pki.RevocationList())
 
-    def client(self, variant, extra=b"", peer_chains=None):
+    def client(self, variant, peer_chains=None):
         return ScepClientSession(variant, self.s_chain, self.s_key,
-                                 self.i_root, self.rng, keyserver_extra=extra,
+                                 self.i_root, self.rng,
                                  peer_chains=peer_chains)
 
 
@@ -126,12 +126,12 @@ def test_honest_roundtrip_reaches_finished(variant):
 def test_hello_layout_starts_with_nonce():
     world = World()
     c_ch, s_ch = world.channels()
-    client = world.client(SCEP, extra=b"keyserver W")
+    client = world.client(SCEP)
     hello_plain = channel_recv(s_ch, client.hello(c_ch).data)
-    assert hello_plain[:NONCE_SIZE] == client.r_s
-    r_s, chain, extra = decode_hello(hello_plain)
+    assert hello_plain == wire.pack_fields(client.r_s, world.s_chain.encode())
+    r_s, chain = decode_hello(hello_plain)
+    assert r_s == client.r_s and len(r_s) == NONCE_SIZE
     assert chain.token.sigma == world.s_chain.token.sigma
-    assert extra == b"keyserver W"
 
 
 def test_scep_server_hash_excludes_cookie():
@@ -382,7 +382,7 @@ def test_ledger_against_rescan_oracle():
 
 
 def _hello_plain(chain_b: bytes) -> bytes:
-    return b"r" * NONCE_SIZE + wire.pack_fields(chain_b, b"")
+    return wire.pack_fields(b"r" * NONCE_SIZE, chain_b)
 
 
 def test_kept_server_chain_is_refused_once_expired():

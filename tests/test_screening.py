@@ -286,6 +286,22 @@ def test_rate_limited_query_raises():
         world.synth.basic_query([CLEAN_SEQUENCES[0], CLEAN_SEQUENCES[1]])
 
 
+def test_refused_exemption_query_debits_no_keyserver():
+    # n + m = 4 > mu = 3: the one batch is refused before any debit, as
+    # rate_limit_check says a denied request consumes no budget
+    covered = DEFAULT_HAZARDS[0][0]
+    config = ScenarioConfig(rate_limit=3,
+                            elt_sequences=(covered, DEFAULT_HAZARDS[1][0]))
+    world = build_world(config, seed=25)
+    with pytest.raises(RateLimited):
+        world.synth.exemption_query([covered, CLEAN_SEQUENCES[0]],
+                                    world.elt_chain, world.fresh_code())
+    sigma, now = world.synth.chain.token.sigma, world.net.now()
+    dialled = world.synth.config.keyservers[:world.synth.config.threshold]
+    assert [world.keyservers[name].ledger.window_total(sigma, now)
+            for name in dialled] == [0, 0]
+
+
 def test_response_binding_verified_end_to_end():
     config = ScenarioConfig(bind_responses=True)
     world = build_world(config, seed=26)

@@ -21,27 +21,12 @@ def test_encode_nested_cat_sealed_and_exp_terms():
     assert Payload.of(term) == Payload(terms.encode(term), term)
 
 
-# The one message whose bytes are not its term's encoding.
-def _scep_hello(payload: Payload) -> bool:
-    # r_S goes out without a length prefix
-    parts = getattr(payload.term, "parts", ())
-    return bool(parts) and getattr(parts[0], "kind", "") == "nonce"
-
-
-EXCEPTIONS = {"scep-hello": _scep_hello}
-
-
 def test_every_shipped_message_is_its_terms_encoding(monkeypatch):
-    checked, excepted = [], {name: 0 for name in EXCEPTIONS}
+    checked = []
 
     def check(payload):
         if isinstance(payload, bytes):
             return  # sent as an opaque blob, which encodes to itself
-        for name, matches in EXCEPTIONS.items():
-            if matches(payload):
-                assert terms.encode(payload.term) != payload.data, name
-                excepted[name] += 1
-                return
         assert terms.encode(payload.term) == payload.data, \
             terms.render_term(payload.term)
         checked.append(payload)
@@ -67,7 +52,6 @@ def test_every_shipped_message_is_its_terms_encoding(monkeypatch):
     for run in attacks.all_scenarios().values():
         run(1)
     assert len(checked) > 500
-    assert all(excepted.values()), excepted
 
 
 @pytest.fixture(scope="module")

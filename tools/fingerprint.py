@@ -20,6 +20,12 @@ outcomes, the wire bytes and the formal views of every run:
 
   python3 tools/fingerprint.py                    # this checkout
   python3 tools/fingerprint.py --src ../other     # another checkout
+  python3 tools/fingerprint.py --runs runs.txt    # and one line per run
+
+``--runs FILE`` writes one line per run behind the wire, transcripts and
+prod digests: the run (``scenario:seed``, ``script:resumption:binding`` or
+``prod:script:...``), then its wire and transcript digests (16 hex digits
+each). Diffing two such files lists the runs that moved.
 
 It stores no golden values; only the comparison means anything.
 """
@@ -124,21 +130,35 @@ def runs(attacks, scenarios):
             yield script_run(scenarios, "test", resumption, bind)
 
 
-def fingerprint(src: Path) -> dict:
+def run_line(label: str, wire: bytes, transcript: bytes) -> str:
+    """One run's line of the ``--runs`` table."""
+    return " ".join([label, *(hashlib.sha256(b).hexdigest()[:16]
+                              for b in (wire, transcript))])
+
+
+def fingerprint(src: Path) -> tuple[dict, list]:
+    """The five digests, and the ``--runs`` table's lines."""
     sys.path.insert(0, str(src / "src"))
     from dnascreen import attacks, closure, scenarios
 
     digests = {name: hashlib.sha256() for name in
                ("outcomes", "wire", "transcripts", "prod", "adversary")}
+    table = []
     for outcome, transcript in runs(attacks, scenarios):
+        wire = _VIEW.sub(" note=", transcript).encode()
+        text = transcript.encode()
         digests["outcomes"].update(outcome.encode() + b"\0")
-        digests["wire"].update(_VIEW.sub(" note=", transcript).encode() + b"\0")
-        digests["transcripts"].update(transcript.encode() + b"\0")
+        digests["wire"].update(wire + b"\0")
+        digests["transcripts"].update(text + b"\0")
+        table.append(run_line(outcome.partition("\n")[0], wire, text))
     outcome, transcript = script_run(scenarios, "prod", True, True)
     digests["prod"].update(outcome.encode() + b"\0" + transcript.encode())
+    table.append(run_line("prod:" + outcome.partition("\n")[0],
+                          _VIEW.sub(" note=", transcript).encode(),
+                          transcript.encode()))
     for text in adversary_runs(scenarios, closure):
         digests["adversary"].update(text.encode() + b"\0")
-    return {name: h.hexdigest() for name, h in digests.items()}
+    return {name: h.hexdigest() for name, h in digests.items()}, table
 
 
 def main():
@@ -146,9 +166,15 @@ def main():
     ap.add_argument("--src", type=Path,
                     default=Path(__file__).resolve().parent.parent,
                     help="root of the checkout to fingerprint")
+    ap.add_argument("--runs", type=Path, metavar="FILE",
+                    help="also write one line per run: run, wire digest, "
+                         "transcript digest")
     args = ap.parse_args()
-    for name, digest in fingerprint(args.src.resolve()).items():
+    digests, table = fingerprint(args.src.resolve())
+    for name, digest in digests.items():
         print(f"{name} {digest}")
+    if args.runs is not None:
+        args.runs.write_text("\n".join(table) + "\n")
 
 
 if __name__ == "__main__":
