@@ -51,6 +51,7 @@ from .screening import (
     KeyserverRole,
     QueryRequest,
     ServerConnection,
+    ServerLink,
     TAG_KS_EVAL,
     open_reply,
     raise_error_record,
@@ -87,7 +88,8 @@ class MitmKeyserver(KeyserverRole):
         self.step6_result: str | None = None
         self.drained = 0
         self.attack_cookie: bytes | None = None
-        self._target_state = None
+        # the connection to the target, whose SCEP run is the victim's
+        self.target_link: ServerLink | None = None
 
     def open_connection(self):
         return _MitmConnection(self)
@@ -104,20 +106,21 @@ class MitmKeyserver(KeyserverRole):
         respond = channel_recv(session, conn.send(channel_send(session, hello)))
         # a target that rejects the hello answers with an error record
         raise_error_record(wire.unpack_fields(respond))
-        omega_w, r_w, w_chain, w_sig = decode_respond(respond)
-        self._target_state = (conn, session, omega_w, r_w, w_chain)
+        omega_w, r_w, _, _ = decode_respond(respond)
+        self.target_link = ServerLink(conn, session)
         self.attack_cookie = omega_w
         return omega_w, r_w
 
     # step [6]: present the harvested signature
     def attack_present_finish(self, y: bytes):
-        conn, session, omega_w, r_w, _ = self._target_state
-        result = conn.send(channel_send(session, encode_finish(omega_w, y)))
+        link = self.target_link
+        result = link.conn.send(channel_send(
+            link.channel, encode_finish(self.attack_cookie, y)))
         if result is None:
             self.step6_result = "Authenticated"
         else:
             try:
-                open_reply(session, result)
+                open_reply(link.channel, result)
                 self.step6_result = "UnexpectedReply"
             except ScreeningError as err:
                 self.step6_result = type(err).__name__
@@ -126,7 +129,6 @@ class MitmKeyserver(KeyserverRole):
         """Spend the victim's window budget at the target, greedily to zero."""
         if self.step6_result != "Authenticated":
             return
-        conn, session, omega_w, _, _ = self._target_state
         g = self.backend.generator
         batch = 32
         for _ in range(200):
@@ -135,11 +137,10 @@ class MitmKeyserver(KeyserverRole):
             elems = [g.exp(self.backend.scalar(j + 2)).encode()
                      for j in range(batch)]
             req = terms.cat(TAG_KS_EVAL,
-                            terms.Atom("cookie", omega_w),
+                            terms.Atom("cookie", self.attack_cookie),
                             *map(terms.element_atom, elems))
             try:
-                open_reply(session, conn.send(channel_send(
-                    session, Payload.of(req))))
+                self.target_link.request(Payload.of(req))
                 self.drained += batch
             except RateLimited:
                 batch //= 2

@@ -5,8 +5,9 @@ CA-signed static server identity, a server-signed key exchange, and
 finished messages over the handshake transcript. It is deliberately a
 model, not a real TLS stack: just enough structure that the record-layer
 sequence-number behaviour (per-direction counters that always begin at
-zero) and the optional same-keys session resumption can be exercised
-byte-for-byte by the simulator.
+zero) and same-keys session resumption can be exercised byte-for-byte by
+the simulator. The channel resumes a session whenever asked; whether to
+ask, and whether to accept, is the roles' decision (``screening``).
 
 Record wire format: 1-byte direction tag, 8-byte big-endian sequence
 number, 4-byte length, ciphertext. The receiver trusts only its own
@@ -32,7 +33,6 @@ from .errors import (
     BadServerCert,
     DecodeError,
     FinishedMismatch,
-    ResumptionDisabled,
 )
 from .terms import Payload
 
@@ -87,13 +87,11 @@ class ChannelSession:
     """Established channel endpoint: write keys plus per-direction counters."""
 
     def __init__(self, role: str, client_write: bytes, server_write: bytes,
-                 peer_server_identity: str | None,
-                 resumption_allowed: bool):
+                 peer_server_identity: str | None):
         self.role = role  # "client" | "server"
         self.client_write = client_write
         self.server_write = server_write
         self.peer_server_identity = peer_server_identity
-        self.resumption_allowed = resumption_allowed
         self.send_seq = 0
         self.recv_seq = 0
 
@@ -119,14 +117,12 @@ class ChannelSession:
 
 
 def resume_session(old: ChannelSession) -> ChannelSession:
-    """Same keys, counters back to zero. Only when resumption is enabled."""
-    if not old.resumption_allowed:
-        raise ResumptionDisabled("session resumption is disabled")
+    """Same keys, counters back to zero. The channel never refuses: the
+    roles decide whether a session is offered or accepted for resumption."""
     return ChannelSession(
         role=old.role, client_write=old.client_write,
         server_write=old.server_write,
         peer_server_identity=old.peer_server_identity,
-        resumption_allowed=old.resumption_allowed,
     )
 
 
@@ -191,11 +187,10 @@ class ClientHandshake:
     """Client half of the handshake; drives four flights then yields a session."""
 
     def __init__(self, server_name: str, channel_ca_key: VerifyKey,
-                 backend: GroupBackend, rng, resumption_allowed: bool = False):
+                 backend: GroupBackend, rng):
         self.server_name = server_name
         self.ca_key = channel_ca_key
         self.backend = backend
-        self.resumption_allowed = resumption_allowed
         self.r_c = rng.randbytes(32)
         self.e_c = backend.random_nonzero_scalar(rng)
         self._flight2 = None
@@ -229,7 +224,6 @@ class ClientHandshake:
         self._session = ChannelSession(
             role="client", client_write=c_write, server_write=s_write,
             peer_server_identity=ident.name,
-            resumption_allowed=self.resumption_allowed,
         )
         transcript = wire.digest_fields(pms, b"client-fin", self.r_c, flight2)
         c_fin = aead_seal(c_write, FIN_SEQ, transcript)
@@ -259,12 +253,11 @@ class ServerHandshake:
     """Server half; consumes client flights, emits replies, yields a session."""
 
     def __init__(self, tls_identity: ServerTlsIdentity, static_key: SigningKey,
-                 backend: GroupBackend, rng, resumption_allowed: bool = False):
+                 backend: GroupBackend, rng):
         self.identity = tls_identity
         self.static_key = static_key
         self.backend = backend
         self.rng = rng
-        self.resumption_allowed = resumption_allowed
         self.r_s = None
         self.e_s = None
         self._r_c = None
@@ -306,7 +299,6 @@ class ServerHandshake:
         self._session = ChannelSession(
             role="server", client_write=c_write, server_write=s_write,
             peer_server_identity=None,
-            resumption_allowed=self.resumption_allowed,
         )
         transcript = wire.digest_fields(pms, b"server-fin", self._r_c,
                                         self._flight2, c_fin)
@@ -322,11 +314,9 @@ class ServerHandshake:
 
 
 def handshake_client(transport, server_name: str, channel_ca_key: VerifyKey,
-                     backend: GroupBackend, rng,
-                     resumption_allowed: bool = False) -> ChannelSession:
+                     backend: GroupBackend, rng) -> ChannelSession:
     """Run the full client handshake over ``transport(payload) -> bytes``."""
-    hs = ClientHandshake(server_name, channel_ca_key, backend, rng,
-                         resumption_allowed)
+    hs = ClientHandshake(server_name, channel_ca_key, backend, rng)
     flight2 = transport(hs.client_hello())
     flight4 = transport(hs.receive_server_flight(flight2))
     return hs.receive_server_finished(flight4)
@@ -334,11 +324,10 @@ def handshake_client(transport, server_name: str, channel_ca_key: VerifyKey,
 
 def handshake_pair(server_name: str, ca_key: VerifyKey,
                    identity: ServerTlsIdentity, static_key: SigningKey,
-                   backend: GroupBackend, rng, resumption_allowed: bool = False
+                   backend: GroupBackend, rng
                    ) -> tuple[ChannelSession, ChannelSession]:
     """Directly-connected handshake for tests; returns (client, server) sessions."""
-    server = ServerHandshake(identity, static_key, backend, rng,
-                             resumption_allowed)
+    server = ServerHandshake(identity, static_key, backend, rng)
 
     def transport(payload: Payload) -> bytes:
         data = payload.data
@@ -347,6 +336,5 @@ def handshake_pair(server_name: str, ca_key: VerifyKey,
             return server.receive_client_hello(data).data
         return server.receive_client_kex(data).data
 
-    client = handshake_client(transport, server_name, ca_key, backend, rng,
-                              resumption_allowed)
+    client = handshake_client(transport, server_name, ca_key, backend, rng)
     return client, server.session

@@ -94,10 +94,6 @@ class FinishedMismatch(ScreeningError):
     pass
 
 
-class ResumptionDisabled(ScreeningError):
-    pass
-
-
 class MessageDropped(ScreeningError):
     """The adversary dropped a message the sender was waiting on."""
 

@@ -174,39 +174,30 @@ class World:
         self.hazard_map = {seq: (name, reason)
                            for seq, name, reason in config.hazards}
 
-        # Keyserver roles.
-        self.keyserver_names = [f"K{i + 1}" for i in range(config.n_keyservers)]
-        self.keyservers = {}
-        for idx, name in enumerate(self.keyserver_names):
+        def infrastructure(name: str, token_type: str, payload) -> tuple:
+            """(TLS identity, its static key, SCEP config) of one server."""
             ident, static = issue_tls_identity(self.channel_ca, name, rng)
-            tok_key = SigningKey.generate(rng)
+            key = SigningKey.generate(rng)
             token = pki.issue_token(
-                self.i_path[0], self.i_leaf_key, pki.TOKEN_KEYSERVER,
-                pki.KeyserverPayload(shares[idx].index), pki.Identity(name),
-                tok_key.verify_key, start, end, rng)
-            cfg = ScepServerConfig(
+                self.i_path[0], self.i_leaf_key, token_type, payload,
+                pki.Identity(name), key.verify_key, start, end, rng)
+            return ident, static, ScepServerConfig(
                 variant=config.scep_variant,
                 chain=pki.CertChain(path=self.i_path, token=token),
-                signing_key=tok_key, trusted_manufacturer_root=self.m_root)
-            role = KeyserverRole(name, self.backend, ident, static, cfg,
-                                 shares[idx], rng,
-                                 resumption_allowed=config.resumption)
-            self.keyservers[name] = role
+                signing_key=key, trusted_manufacturer_root=self.m_root)
 
-        # Hashed database role.
-        ident, static = issue_tls_identity(self.channel_ca, "H", rng)
-        h_key = SigningKey.generate(rng)
-        h_token = pki.issue_token(
-            self.i_path[0], self.i_leaf_key, pki.TOKEN_DATABASE,
-            pki.DatabasePayload(),
-            pki.Identity("H"), h_key.verify_key, start, end, rng)
+        # Keyserver roles, then the hashed database role.
+        self.keyserver_names = [f"K{i + 1}" for i in range(config.n_keyservers)]
+        self.keyservers = {
+            name: KeyserverRole(
+                name, self.backend,
+                *infrastructure(name, pki.TOKEN_KEYSERVER,
+                                pki.KeyserverPayload(share.index)),
+                share, rng, resumption_allowed=config.resumption)
+            for name, share in zip(self.keyserver_names, shares)}
         self.hdb = HashedDbRole(
-            "H", self.backend, ident, static,
-            ScepServerConfig(variant=config.scep_variant,
-                             chain=pki.CertChain(path=self.i_path,
-                                                 token=h_token),
-                             signing_key=h_key,
-                             trusted_manufacturer_root=self.m_root),
+            "H", self.backend,
+            *infrastructure("H", pki.TOKEN_DATABASE, pki.DatabasePayload()),
             self.db, rng, exemption_root=self.e_root,
             auth_backend_name="A", channel_ca_key=ca_pub,
             bind_responses=config.bind_responses,
@@ -341,18 +332,15 @@ def secrecy_assertions(world: World) -> list:
     return out
 
 
-_AGREED_PARAMS = ("r_s", "r_w", "omega", "client_token", "server_token")
-
-
 def _client_session_index(net: SimNetwork) -> Counter:
-    """Client sessions counted by (server, client, agreed parameters)."""
-    return Counter((c["server"], c["client"], *(c[p] for p in _AGREED_PARAMS))
+    """Client sessions counted by (server, client, what they agreed on)."""
+    return Counter((c["server"], c["client"], c["agreed"])
                    for c in net.client_sessions)
 
 
 def _agreement_key(entry: dict, client: str) -> tuple:
     """The index key a client session agreeing with ``entry`` would have."""
-    return (entry["server"], client, *(entry[p] for p in _AGREED_PARAMS))
+    return (entry["server"], client, entry["agreed"])
 
 
 def agreement_assertions(world: World) -> list:

@@ -180,16 +180,11 @@ class ScepClientSession:
         self.state = STATE_FINISHED
         return channel_send(channel, encode_finish(omega, client_sig))
 
-    def params(self) -> dict:
-        """Session parameters for agreement bookkeeping."""
-        return {
-            "r_s": self.r_s,
-            "r_w": self.r_w,
-            "omega": self.cookie,
-            "client_token": self.chain.token.encode(),
-            "server_token": (self.server_chain.token.encode()
-                             if self.server_chain else None),
-        }
+    def agreed(self) -> tuple:
+        """(r_S, r_W, omega, client token, server token) of a finished run:
+        what this client signed under SCEP+."""
+        return (self.r_s, self.r_w, self.cookie, self.chain.token.encode(),
+                self.server_chain.token.encode())
 
 
 @dataclass
@@ -216,7 +211,6 @@ class ScepServerSession:
         self.r_w = None
         self.omega = None
         self.client_chain = None
-        self.tokens = (None, None)  # (client, server) as verify hashed them
         self.state = STATE_INIT
 
     def respond(self, hello_plain: bytes, channel: ChannelSession, rng,
@@ -257,9 +251,8 @@ class ScepServerSession:
             self.state = STATE_FAILED
             raise BadCookie("cookie echo does not match")
         token = self.client_chain.token
-        self.tokens = (token.encode(), self.config.chain.token.encode())
         expected = mutauth_hash(self.config.variant, b"client-mutauth",
-                                self.r_s, self.r_w, self.omega, *self.tokens)
+                                *self.agreed())
         if not token.subject_key.verify(expected, sig):
             self.state = STATE_FAILED
             raise BadClientSig("client mutauth signature invalid")
@@ -269,17 +262,12 @@ class ScepServerSession:
         return Authenticated(sigma=token.sigma, rate_limit=mu,
                              client_name=token.subject_id.name)
 
-    def params(self) -> dict:
-        """Session parameters for agreement bookkeeping; the tokens are the
-        encodings ``verify`` hashed."""
-        client_token, server_token = self.tokens
-        return {
-            "r_s": self.r_s,
-            "r_w": self.r_w,
-            "omega": self.omega,
-            "client_token": client_token,
-            "server_token": server_token,
-        }
+    def agreed(self) -> tuple:
+        """(r_S, r_W, omega, client token, server token) of a responded run:
+        the tuple ``verify`` hashes."""
+        return (self.r_s, self.r_w, self.omega,
+                self.client_chain.token.encode(),
+                self.config.chain.token.encode())
 
 
 # --- rate-limit ledger -----------------------------------------------------

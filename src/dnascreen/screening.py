@@ -46,7 +46,6 @@ from .errors import (
     InvalidSequence,
     RateLimited,
     ResponseBindingMismatch,
-    ResumptionDisabled,
     ScreeningError,
     UnknownDevice,
     raise_remote,
@@ -293,6 +292,21 @@ def raise_error_record(fields_: list) -> list:
     return fields_
 
 
+@dataclass
+class ServerLink:
+    """An established connection to one server. It is SCEP-authenticated,
+    except the database's link to the authentication backend (no ``scep``)."""
+
+    conn: object
+    channel: ChannelSession
+    scep: ScepClientSession | None = None
+
+    def request(self, payload: Payload) -> list:
+        """Send one record and open its answer: the reply's fields."""
+        return open_reply(self.channel,
+                          self.conn.send(channel_send(self.channel, payload)))
+
+
 # --- server plumbing ----------------------------------------------------------------
 
 class ServerConnection:
@@ -322,15 +336,15 @@ class ServerConnection:
         fields_ = wire.unpack_fields(data)
         tag = fields_[0] if fields_ else b""
         if tag == b"client-hello":
-            self.hs = ServerHandshake(
-                self.role.tls_identity, self.role.tls_key, self.role.backend,
-                self.role.rng, resumption_allowed=self.role.resumption_allowed)
+            self.hs = ServerHandshake(self.role.tls_identity, self.role.tls_key,
+                                      self.role.backend, self.role.rng)
             return self.hs.receive_client_hello(data)
         if tag == b"resume":
             if len(fields_) != 2:
                 raise DecodeError("malformed resume")
+            # the cache fills only while the role allows resumption
             cached = self.role.session_cache.get(fields_[1])
-            if cached is None or not self.role.resumption_allowed:
+            if cached is None:
                 return _tag_payload(b"resume-reject")
             self.channel = resume_session(cached)
             reply = _tag_payload(b"resume-ok")
@@ -493,8 +507,7 @@ class HashedDbRole(ServerRole):
                         terms.blob(wire.pack_str(device_id), "text"),
                         terms.Atom("code", wire.pack_str(code)),
                         terms.blob(wire.pack_u64(now), "text"))
-        reply = open_reply(session, conn.send(
-            channel_send(session, Payload.of(req))))
+        reply = ServerLink(conn, session).request(Payload.of(req))
         return reply == [b"auth-ok"]
 
     def _query(self, conn: ServerConnection, request: Payload,
@@ -552,15 +565,6 @@ class SynthesizerConfig:
     resumption: bool = False
 
 
-@dataclass
-class ServerLink:
-    """An established, SCEP-authenticated connection to one server."""
-
-    conn: object
-    channel: ChannelSession
-    scep: ScepClientSession
-
-
 class SynthesizerRole:
     """Client role driving the basic and exemption-handling protocols."""
 
@@ -588,23 +592,21 @@ class SynthesizerRole:
         conn = net.dial(self.name, server)
         session = None
         if try_resume and self._hdb_session is not None:
-            resumed = None
-            try:
+            if self.config.resumption:
                 resumed = resume_session(self._hdb_session)
-            except ResumptionDisabled as err:
-                # Recorded and fall back to a full handshake.
-                net.note(f"resumption attempt failed: {type(err).__name__}")
-            if resumed is not None:
                 reply = conn.send(Payload.of(terms.cat(
                     TAG_RESUME,
                     terms.blob(self._hdb_session.session_id()))))
                 if wire.unpack_fields(reply) == [b"resume-ok"]:
                     session = resumed
                     net.note(f"resumed channel to {server}")
+            else:
+                # a full handshake follows; the note's text is transcript
+                # content and must not change
+                net.note("resumption attempt failed: ResumptionDisabled")
         if session is None:
             session = handshake_client(conn.send, server, self.channel_ca_key,
-                                       self.backend, self.rng,
-                                       resumption_allowed=self.config.resumption)
+                                       self.backend, self.rng)
         scep_session = ScepClientSession(
             self.config.scep_variant, self.chain, self.signing_key,
             self.trusted_infra_root, self.rng, revocations=self.revocations,
@@ -625,10 +627,8 @@ class SynthesizerRole:
         """One eval round against every linked keyserver; returns keyed hashes."""
         responses_by_ks = []
         for link in links:
-            req = terms.cat(TAG_KS_EVAL,
-                            terms.Atom("cookie", link.scep.cookie), *blinded)
-            reply = open_reply(link.channel, link.conn.send(
-                channel_send(link.channel, Payload.of(req))))
+            reply = link.request(Payload.of(terms.cat(
+                TAG_KS_EVAL, terms.Atom("cookie", link.scep.cookie), *blinded)))
             if len(reply) != len(blinded) + 1 or reply[0] != b"ks-eval-ok":
                 raise DecodeError("unexpected keyserver reply")
             index = link.scep.server_chain.token.payload.share_index
@@ -668,8 +668,7 @@ class SynthesizerRole:
     def _hdb_round(self, link: ServerLink, request: QueryRequest
                    ) -> QueryResponse:
         payload = encode_query_payload(request)
-        reply = open_reply(link.channel,
-                           link.conn.send(channel_send(link.channel, payload)))
+        reply = link.request(payload)
         if len(reply) != 2:
             raise DecodeError("database response is not (core, signature)")
         core, sig = reply

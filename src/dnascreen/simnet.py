@@ -284,8 +284,8 @@ class SimNetwork:
                                        f"session key held by {role_name}")
 
     def record_client_session(self, client: str, server: str, scep_session):
-        self.client_sessions.append(
-            {"client": client, "server": server, **scep_session.params()})
+        self.client_sessions.append({"client": client, "server": server,
+                                     "agreed": scep_session.agreed()})
 
     def record_server_session(self, server: str, scep_session):
         self.server_sessions[scep_session] = {
@@ -293,10 +293,10 @@ class SimNetwork:
 
     def record_server_authenticated(self, scep_session, auth):
         """Mark the session recorded at respond time as authenticated, and
-        record its parameters as a client session's are."""
+        record what it agreed on as a client session's is."""
         entry = self.server_sessions[scep_session]
         entry["auth"] = auth
-        entry.update(scep_session.params())
+        entry["agreed"] = scep_session.agreed()
 
     def honest_authenticated_sessions(self):
         """(index, entry) of each authenticated session at an honest server.

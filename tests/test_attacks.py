@@ -180,13 +180,11 @@ def _brute_force_agreement(world) -> list:
     net = world.net
     out = []
     for i, entry in net.honest_authenticated_sessions():
-        sp = entry["session"].params()
+        agreed = entry["session"].agreed()
         n = sum(1 for c in net.client_sessions
                 if c["server"] == entry["server"]
                 and c["client"] == entry["auth"].client_name
-                and all(c[p] == sp[p] for p in
-                        ("r_s", "r_w", "omega", "client_token",
-                         "server_token")))
+                and c["agreed"] == agreed)
         out.append((f"agreement:{entry['server']}:{i}", n == 1,
                     f"{n} honest client sessions share these parameters"))
     return out

@@ -27,7 +27,6 @@ from dnascreen.errors import (
     BadServerCert,
     DecodeError,
     FinishedMismatch,
-    ResumptionDisabled,
 )
 
 B = TEST_BACKEND
@@ -41,10 +40,9 @@ def world():
     return rng, ca, ident, static
 
 
-def pair(world, resumption=False):
+def pair(world):
     rng, ca, ident, static = world
-    return handshake_pair("H", ca.verify_key, ident, static, B, rng,
-                          resumption_allowed=resumption)
+    return handshake_pair("H", ca.verify_key, ident, static, B, rng)
 
 
 def test_honest_handshake_equal_keys(world):
@@ -196,14 +194,8 @@ def test_record_single_byte_mutations_rejected(world):
             channel_recv(fresh_server, bytes(mutated))
 
 
-def test_resumption_disabled_by_default(world):
-    client, _ = pair(world, resumption=False)
-    with pytest.raises(ResumptionDisabled):
-        resume_session(client)
-
-
 def test_resumption_resets_counters(world):
-    client, server = pair(world, resumption=True)
+    client, server = pair(world)
     channel_send(client, b"x")
     channel_send(client, b"y")
     resumed = resume_session(client)
@@ -215,7 +207,7 @@ def test_resumption_resets_counters(world):
 def test_cross_connection_swap_accepted_when_resumed(world):
     # records at equal positions from original and resumed connections are
     # mutually acceptable: same keys, same sequence numbers
-    client, server = pair(world, resumption=True)
+    client, server = pair(world)
     rec_a = channel_send(server, b"answer A").data
     client2 = resume_session(client)
     server2 = resume_session(server)

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from dnascreen import crypto, doprf, pki
+from dnascreen import crypto, doprf, pki, terms, wire
 from dnascreen.crypto import TEST_BACKEND, SigningKey
 from dnascreen.doprf import doprf_direct
 from dnascreen.errors import (
@@ -31,6 +31,7 @@ from dnascreen.screening import (
     GRANT,
     HIT,
     HIT_EXEMPT,
+    TAG_RESUME,
     ExemptionPart,
     QueryRequest,
     QueryResponse,
@@ -42,6 +43,7 @@ from dnascreen.screening import (
     oracle_query,
     totp_code,
 )
+from dnascreen.terms import Payload
 
 B = TEST_BACKEND
 NOW = 1_000_000_000
@@ -307,6 +309,38 @@ def test_response_binding_verified_end_to_end():
     world = build_world(config, seed=26)
     got = world.synth.basic_query([DEFAULT_HAZARDS[0][0]])
     assert got.overall == DENY
+
+
+def test_database_resumes_only_a_session_it_cached():
+    # the role decides: with resumption off H caches no session, so the
+    # resume it accepts with resumption on gets resume-reject
+    sent, answers = [], []
+    for resumption in (True, False):
+        world = build_world(ScenarioConfig(resumption=resumption), seed=29)
+        world.synth.basic_query([CLEAN_SEQUENCES[0]])
+        assert bool(world.hdb.session_cache) is resumption
+        resume = Payload.of(terms.cat(TAG_RESUME, terms.blob(
+            world.synth._hdb_session.session_id())))
+        sent.append(resume.data)
+        reply = world.net.dial("S", "H").send(resume)
+        answers.append(wire.unpack_fields(reply))
+    assert sent[0] == sent[1]
+    assert answers == [[b"resume-ok"], [b"resume-reject"]]
+
+
+@pytest.mark.parametrize("resumption", [False, True])
+def test_synthesizer_asks_to_resume_only_when_configured(resumption):
+    world = build_world(ScenarioConfig(resumption=resumption), seed=29)
+    world.synth.basic_query([CLEAN_SEQUENCES[0]])
+    world.synth.basic_query([CLEAN_SEQUENCES[1]], resume_hdb=True)
+    tags = [wire.unpack_fields(ev.data)[0]
+            for ev in world.net.transcript.events
+            if ev.kind == "hs" and ev.link == "S->H" and ev.direction == "c2s"]
+    handshake = [b"client-hello", b"client-kex"]
+    assert tags == handshake + ([b"resume"] if resumption else handshake)
+    assert world.net.notes == (
+        ["resumed channel to H"] if resumption
+        else ["resumption attempt failed: ResumptionDisabled"])
 
 
 def test_prod_backend_end_to_end():
