@@ -56,7 +56,6 @@ from .screening import (
     open_reply,
     raise_error_record,
 )
-from .terms import Payload
 
 # perfbench/bench_trace.py wraps this name; the one agreement checker is
 # scenarios.agreement_assertions.
@@ -95,14 +94,14 @@ class MitmKeyserver(KeyserverRole):
         return _MitmConnection(self)
 
     # steps [2] and [3]: replay the hello, collect the target's challenge
-    def attack_open_target_session(self, hello: Payload):
+    def attack_open_target_session(self, hello):
         net = self.net
         conn = net.dial(self.name, self.target)
         session = handshake_client(conn.send, self.target,
                                    self.channel_ca_key,
                                    self.backend, self.rng)
         net.register_channel(self.name, session)
-        # a relay: the client's bytes go out under the term they came in with
+        # a relay: the client's hello goes out as the term it was sealed as
         respond = channel_recv(session, conn.send(channel_send(session, hello)))
         # a target that rejects the hello answers with an error record
         raise_error_record(wire.unpack_fields(respond))
@@ -140,19 +139,19 @@ class MitmKeyserver(KeyserverRole):
                             terms.Atom("cookie", self.attack_cookie),
                             *map(terms.element_atom, elems))
             try:
-                self.target_link.request(Payload.of(req))
+                self.target_link.request(req)
                 self.drained += batch
             except RateLimited:
                 batch //= 2
 
 
 class _MitmConnection(ServerConnection):
-    def _scep_step(self, request: Payload):
+    def _scep_step(self, plaintext: bytes, term):
         role: MitmKeyserver = self.role
         if self.scep is None:
             # step [1]: the client volunteers its nonce and token chain
-            r_s, client_chain = decode_hello(request.data)
-            omega_w, r_w = role.attack_open_target_session(request)
+            r_s, client_chain = decode_hello(plaintext)
+            omega_w, r_w = role.attack_open_target_session(term)
             # step [4]: answer the client with our own token but the
             # target's cookie and nonce, signed by our own token key
             cfg = role.scep_config
@@ -164,7 +163,7 @@ class _MitmConnection(ServerConnection):
             return channel_send(self.channel,
                                 encode_respond(omega_w, r_w, cfg.chain, sig))
         # step [5]: the client's finish carries the critical signature y
-        _omega_echo, y = decode_finish(request.data)
+        _omega_echo, y = decode_finish(plaintext)
         role.attack_present_finish(y)
         role.attack_drain_budget()
         # keep serving the client so it suspects nothing
@@ -183,15 +182,15 @@ class LeakyHashedDb(HashedDbRole):
         self.stolen: list[tuple[str, str, int]] = []
         self.replays: list[bool] = []  # whether the backend accepted each
 
-    def _query(self, conn: ServerConnection, request: Payload,
-               fields_: list) -> Payload:
-        query = QueryRequest.decode(request.data)
+    def _query(self, conn: ServerConnection, plaintext: bytes, term,
+               fields_: list):
+        query = QueryRequest.decode(plaintext)
         if query.exemption is not None:
             chain = CertChain.decode(query.exemption.chain_bytes)
             self.stolen.append((chain.token.payload.device_id,
                                 query.exemption.auth_code, self.net.now()))
             self.net.note("corrupt database stored the device code")
-        return super()._query(conn, request, fields_)
+        return super()._query(conn, plaintext, term, fields_)
 
     def replay_stolen_code(self):
         """Present the last captured (device, code) to the backend as ours."""

@@ -9,6 +9,10 @@ zero) and same-keys session resumption can be exercised byte-for-byte by
 the simulator. The channel resumes a session whenever asked; whether to
 ask, and whether to accept, is the roles' decision (``screening``).
 
+Every flight and record is a term (``terms``) whose ``data`` is its wire
+bytes: a flight is a ``Cat`` of its fields, and ``channel_send`` returns the
+record's ``Sealed`` term, whose ``data`` is the frame. Receivers parse bytes.
+
 Record wire format: 1-byte direction tag, 8-byte big-endian sequence
 number, 4-byte length, ciphertext. The receiver trusts only its own
 counter; the header fields must match it exactly.
@@ -34,7 +38,6 @@ from .errors import (
     DecodeError,
     FinishedMismatch,
 )
-from .terms import Payload
 
 DIR_C2S = 0x01
 DIR_S2C = 0x02
@@ -142,19 +145,19 @@ def _derive_write_key(pms: bytes, r_c: bytes, r_s: bytes, label: bytes) -> bytes
     return wire.digest_fields(label, pms, r_c, r_s)
 
 
-def channel_send(session: ChannelSession, payload) -> Payload:
-    """Seal a plaintext at the current send counter and frame it."""
-    if isinstance(payload, bytes):
-        payload = Payload.opaque(payload)
+def channel_send(session: ChannelSession, msg) -> terms.Sealed:
+    """Seal a message's bytes at the current send counter and frame them;
+    the record is the ``Sealed`` term whose ``data`` is the frame. Plain
+    bytes are sent as a blob."""
+    if isinstance(msg, bytes):
+        msg = terms.blob(msg)
     seq = session.send_seq
-    ct = aead_seal(session.send_key, seq, payload.data)
+    ct = aead_seal(session.send_key, seq, msg.data)
     frame = (bytes([session.send_dir]) + seq.to_bytes(8, "big")
              + len(ct).to_bytes(4, "big") + ct)
     session.send_seq += 1
     # the term reads its ciphertext off the frame: one copy of the bytes
-    term = terms.Sealed(_key_label(session.send_key), seq, payload.term,
-                        frame, _HDR)
-    return Payload(frame, term)
+    return terms.Sealed(_key_label(session.send_key), seq, msg, frame, _HDR)
 
 
 def parse_record_header(frame: bytes) -> tuple[int, int, bytes]:
@@ -198,10 +201,10 @@ class ClientHandshake:
         self._pms = None
         self._c_fin = None
 
-    def client_hello(self) -> Payload:
-        return Payload.of(terms.cat(_CLIENT_HELLO, terms.nonce(self.r_c)))
+    def client_hello(self) -> terms.Cat:
+        return terms.cat(_CLIENT_HELLO, terms.nonce(self.r_c))
 
-    def receive_server_flight(self, flight2: bytes) -> Payload:
+    def receive_server_flight(self, flight2: bytes) -> terms.Cat:
         tag, r_s, ident_b, ske_pub_b, ske_sig = wire.expect_fields(flight2, 5)
         if tag != b"server-hello":
             raise DecodeError("expected server hello")
@@ -229,10 +232,10 @@ class ClientHandshake:
         c_fin = aead_seal(c_write, FIN_SEQ, transcript)
         self._c_fin = c_fin
         client_pub = self.backend.generator.exp(self.e_c).encode()
-        return Payload.of(terms.cat(
+        return terms.cat(
             _CLIENT_KEX, terms.element_atom(client_pub),
             terms.Sealed(_key_label(c_write), FIN_SEQ, terms.blob(transcript),
-                         c_fin)))
+                         c_fin))
 
     def receive_server_finished(self, flight4: bytes) -> ChannelSession:
         tag, s_fin = wire.expect_fields(flight4, 2)
@@ -264,7 +267,7 @@ class ServerHandshake:
         self._flight2 = None
         self._session = None
 
-    def receive_client_hello(self, flight1: bytes) -> Payload:
+    def receive_client_hello(self, flight1: bytes) -> terms.Cat:
         tag, r_c = wire.expect_fields(flight1, 2)
         if tag != b"client-hello":
             raise DecodeError("expected client hello")
@@ -274,14 +277,14 @@ class ServerHandshake:
         ske_pub = self.backend.generator.exp(self.e_s).encode()
         ske_sig = self.static_key.sign(
             wire.pack_fields(b"key-exchange", r_c, self.r_s, ske_pub))
-        flight2 = Payload.of(terms.cat(
+        flight2 = terms.cat(
             _SERVER_HELLO, terms.nonce(self.r_s),
             terms.blob(self.identity.encode()), terms.element_atom(ske_pub),
-            terms.blob(ske_sig)))
+            terms.blob(ske_sig))
         self._flight2 = flight2.data
         return flight2
 
-    def receive_client_kex(self, flight3: bytes) -> Payload:
+    def receive_client_kex(self, flight3: bytes) -> terms.Cat:
         tag, client_pub_b, c_fin = wire.expect_fields(flight3, 3)
         if tag != b"client-kex":
             raise DecodeError("expected client key exchange")
@@ -303,10 +306,10 @@ class ServerHandshake:
         transcript = wire.digest_fields(pms, b"server-fin", self._r_c,
                                         self._flight2, c_fin)
         s_fin = aead_seal(s_write, FIN_SEQ, transcript)
-        return Payload.of(terms.cat(
+        return terms.cat(
             _SERVER_FIN,
             terms.Sealed(_key_label(s_write), FIN_SEQ, terms.blob(transcript),
-                         s_fin)))
+                         s_fin))
 
     @property
     def session(self) -> ChannelSession:
@@ -315,7 +318,7 @@ class ServerHandshake:
 
 def handshake_client(transport, server_name: str, channel_ca_key: VerifyKey,
                      backend: GroupBackend, rng) -> ChannelSession:
-    """Run the full client handshake over ``transport(payload) -> bytes``."""
+    """Run the full client handshake over ``transport(flight) -> bytes``."""
     hs = ClientHandshake(server_name, channel_ca_key, backend, rng)
     flight2 = transport(hs.client_hello())
     flight4 = transport(hs.receive_server_flight(flight2))
@@ -329,8 +332,8 @@ def handshake_pair(server_name: str, ca_key: VerifyKey,
     """Directly-connected handshake for tests; returns (client, server) sessions."""
     server = ServerHandshake(identity, static_key, backend, rng)
 
-    def transport(payload: Payload) -> bytes:
-        data = payload.data
+    def transport(flight: terms.Cat) -> bytes:
+        data = flight.data
         tag = wire.unpack_fields(data)[0]
         if tag == b"client-hello":
             return server.receive_client_hello(data).data

@@ -171,8 +171,6 @@ class World:
             rng.randrange(2, self.backend.q))
         shares = share_key(self.k, config.n_keyservers, config.threshold, rng)
         self.db = build_hdb(config.hazards, self.k)
-        self.hazard_map = {seq: (name, reason)
-                           for seq, name, reason in config.hazards}
 
         def infrastructure(name: str, token_type: str, payload) -> tuple:
             """(TLS identity, its static key, SCEP config) of one server."""
@@ -193,7 +191,7 @@ class World:
                 name, self.backend,
                 *infrastructure(name, pki.TOKEN_KEYSERVER,
                                 pki.KeyserverPayload(share.index)),
-                share, rng, resumption_allowed=config.resumption)
+                share, rng)
             for name, share in zip(self.keyserver_names, shares)}
         self.hdb = HashedDbRole(
             "H", self.backend,

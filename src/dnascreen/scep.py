@@ -40,7 +40,6 @@ from .pki import (
     RevocationList,
     validate_chain,
 )
-from .terms import Payload
 
 SCEP = "scep"
 SCEP_PLUS = "scep-plus"
@@ -50,7 +49,6 @@ NONCE_SIZE = 32
 COOKIE_SIZE = 32
 
 STATE_INIT = "Init"
-STATE_HELLO_SENT = "HelloSent"
 STATE_RESPONDED = "Responded"
 STATE_FINISHED = "Finished"
 STATE_FAILED = "Failed"
@@ -68,8 +66,8 @@ def mutauth_hash(variant: str, label: bytes, r_s: bytes, r_w: bytes,
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def encode_hello(r_s: bytes, chain: CertChain) -> Payload:
-    return Payload.of(terms.cat(terms.nonce(r_s), terms.blob(chain.encode())))
+def encode_hello(r_s: bytes, chain: CertChain) -> terms.Cat:
+    return terms.cat(terms.nonce(r_s), terms.blob(chain.encode()))
 
 
 def decode_hello(plaintext: bytes, decode_chain=CertChain.decode
@@ -83,9 +81,9 @@ def decode_hello(plaintext: bytes, decode_chain=CertChain.decode
 
 
 def encode_respond(omega: bytes, r_w: bytes, chain: CertChain,
-                   sig: bytes) -> Payload:
-    return Payload.of(terms.cat(terms.Atom("cookie", omega), terms.nonce(r_w),
-                                terms.blob(chain.encode()), terms.blob(sig)))
+                   sig: bytes) -> terms.Cat:
+    return terms.cat(terms.Atom("cookie", omega), terms.nonce(r_w),
+                     terms.blob(chain.encode()), terms.blob(sig))
 
 
 def decode_respond(plaintext: bytes, decode_chain=CertChain.decode
@@ -95,8 +93,8 @@ def decode_respond(plaintext: bytes, decode_chain=CertChain.decode
     return omega, r_w, decode_chain(chain_b), sig
 
 
-def encode_finish(omega: bytes, sig: bytes) -> Payload:
-    return Payload.of(terms.cat(terms.Atom("cookie", omega), terms.blob(sig)))
+def encode_finish(omega: bytes, sig: bytes) -> terms.Cat:
+    return terms.cat(terms.Atom("cookie", omega), terms.blob(sig))
 
 
 def decode_finish(plaintext: bytes) -> tuple[bytes, bytes]:
@@ -135,25 +133,20 @@ class ScepClientSession:
         self.r_w = None
         self.cookie = None
         self.server_chain = None
-        self.state = STATE_INIT
 
-    def hello(self, channel: ChannelSession) -> Payload:
-        payload = encode_hello(self.r_s, self.chain)
-        self.state = STATE_HELLO_SENT
-        return channel_send(channel, payload)
+    def hello(self, channel: ChannelSession) -> terms.Sealed:
+        return channel_send(channel, encode_hello(self.r_s, self.chain))
 
     def finish(self, response_plain: bytes, channel: ChannelSession,
-               now: int) -> Payload:
+               now: int) -> terms.Sealed:
         omega, r_w, server_chain, sig = decode_respond(
             response_plain, self.peer_chains.decode)
         try:
             validate_chain(server_chain, self.trusted_infra_root, now,
                            self.revocations)
         except ScreeningError as e:
-            self.state = STATE_FAILED
             raise BadServerChain(f"server chain rejected: {e}") from None
         if server_chain.token is None:
-            self.state = STATE_FAILED
             raise BadServerChain("server chain carries no token")
         self.peer_chains.keep(server_chain)
         # The presented token must belong to the channel peer the client
@@ -161,7 +154,6 @@ class ScepClientSession:
         # chain could be relayed.
         peer = channel.peer_server_identity
         if peer is not None and server_chain.token.subject_id.name != peer:
-            self.state = STATE_FAILED
             raise BadServerChain(
                 f"server token names {server_chain.token.subject_id.name!r} "
                 f"but the channel authenticates {peer!r}")
@@ -169,7 +161,6 @@ class ScepClientSession:
                                 omega, self.chain.token.encode(),
                                 server_chain.token.encode())
         if not server_chain.token.subject_key.verify(expected, sig):
-            self.state = STATE_FAILED
             raise BadServerSig("server mutauth signature invalid")
         self.r_w = r_w
         self.cookie = omega
@@ -177,7 +168,6 @@ class ScepClientSession:
         client_sig = self.signing_key.sign(
             mutauth_hash(self.variant, b"client-mutauth", self.r_s, r_w, omega,
                          self.chain.token.encode(), server_chain.token.encode()))
-        self.state = STATE_FINISHED
         return channel_send(channel, encode_finish(omega, client_sig))
 
     def agreed(self) -> tuple:
@@ -214,7 +204,7 @@ class ScepServerSession:
         self.state = STATE_INIT
 
     def respond(self, hello_plain: bytes, channel: ChannelSession, rng,
-                now: int) -> Payload:
+                now: int) -> terms.Sealed:
         r_s, client_chain = decode_hello(hello_plain, self.peer_chains.decode)
         try:
             validate_chain(client_chain, self.config.trusted_manufacturer_root,

@@ -66,7 +66,6 @@ from .scep import (
     ScepServerSession,
     rate_limit_check,
 )
-from .terms import Payload
 
 GRANT = "grant"
 DENY = "deny"
@@ -132,15 +131,15 @@ class QueryRequest:
         return cls(cookie, wire.unpack_fields(hashed_b), exemption)
 
 
-def encode_query_payload(req: QueryRequest) -> Payload:
+def query_term(req: QueryRequest) -> terms.Cat:
     """A basic query's exemption field is ``terms.cat()``: an empty field."""
     ex = req.exemption
     ex_term = terms.cat() if ex is None else terms.cat(
         terms.blob(ex.chain_bytes), terms.blob(ex.auth_code.encode(), "text"),
         terms.cat(*map(terms.element_atom, ex.hashed_exempt)))
-    return Payload.of(terms.cat(
+    return terms.cat(
         TAG_HDB_QUERY, terms.Atom("cookie", req.cookie),
-        terms.cat(*map(terms.element_atom, req.hashed)), ex_term))
+        terms.cat(*map(terms.element_atom, req.hashed)), ex_term)
 
 
 @dataclass(frozen=True)
@@ -267,15 +266,14 @@ def auth_backend_verify(devices: dict, device_id: str, code: str,
 
 # --- wire helpers shared by roles -----------------------------------------------------
 
-def error_payload(err: Exception) -> Payload:
-    return Payload.of(terms.cat(TAG_ERROR,
-                                terms.blob(type(err).__name__.encode(), "text"),
-                                terms.blob(str(err).encode(), "text")))
+def error_term(err: Exception) -> terms.Cat:
+    return terms.cat(TAG_ERROR, terms.blob(type(err).__name__.encode(), "text"),
+                     terms.blob(str(err).encode(), "text"))
 
 
-def _tag_payload(tag: bytes) -> Payload:
+def _tag_term(tag: bytes) -> terms.Cat:
     """A message that is nothing but its tag: resume-ok, auth-reject, ..."""
-    return Payload.of(terms.cat(terms.blob(tag, "text")))
+    return terms.cat(terms.blob(tag, "text"))
 
 
 def open_reply(channel: ChannelSession, frame: bytes) -> list:
@@ -301,10 +299,10 @@ class ServerLink:
     channel: ChannelSession
     scep: ScepClientSession | None = None
 
-    def request(self, payload: Payload) -> list:
+    def request(self, msg) -> list:
         """Send one record and open its answer: the reply's fields."""
         return open_reply(self.channel,
-                          self.conn.send(channel_send(self.channel, payload)))
+                          self.conn.send(channel_send(self.channel, msg)))
 
 
 # --- server plumbing ----------------------------------------------------------------
@@ -319,20 +317,23 @@ class ServerConnection:
         self.scep = None
         self.auth: Authenticated | None = None
 
-    def handle(self, data: bytes, inbound_term) -> Payload | None:
+    def handle(self, msg):
+        """The reply to one inbound message, or None."""
         if self.channel is None:
-            return self._handshake_step(data)
-        if isinstance(inbound_term, terms.Sealed):
-            inbound_term = inbound_term.inner
-        request = Payload(channel_recv(self.channel, data), inbound_term)
+            return self._handshake_step(msg.data)
+        # The one place bytes and a term are paired: the plaintext this
+        # server opened, and the term its sender sealed (the message itself
+        # when it is not a record).
+        plaintext = channel_recv(self.channel, msg.data)
+        term = msg.inner if isinstance(msg, terms.Sealed) else msg
         try:
             if self.role.requires_scep and self.auth is None:
-                return self._scep_step(request)
-            return self._request(request)
+                return self._scep_step(plaintext, term)
+            return self._request(plaintext, term)
         except ScreeningError as err:
-            return channel_send(self.channel, error_payload(err))
+            return channel_send(self.channel, error_term(err))
 
-    def _handshake_step(self, data: bytes) -> Payload:
+    def _handshake_step(self, data: bytes) -> terms.Cat:
         fields_ = wire.unpack_fields(data)
         tag = fields_[0] if fields_ else b""
         if tag == b"client-hello":
@@ -345,9 +346,9 @@ class ServerConnection:
             # the cache fills only while the role allows resumption
             cached = self.role.session_cache.get(fields_[1])
             if cached is None:
-                return _tag_payload(b"resume-reject")
+                return _tag_term(b"resume-reject")
             self.channel = resume_session(cached)
-            reply = _tag_payload(b"resume-ok")
+            reply = _tag_term(b"resume-ok")
         elif tag == b"client-kex":
             if self.hs is None:
                 raise DecodeError("client key exchange before client hello")
@@ -360,26 +361,26 @@ class ServerConnection:
         self.role.net.register_channel(self.role.name, self.channel)
         return reply
 
-    def _scep_step(self, request: Payload) -> Payload | None:
+    def _scep_step(self, plaintext: bytes, term) -> terms.Sealed | None:
         net = self.role.net
         if self.scep is None:
             self.scep = ScepServerSession(self.role.scep_config,
                                           self.role.peer_chains)
-            reply = self.scep.respond(request.data, self.channel,
-                                      self.role.rng, net.now())
+            reply = self.scep.respond(plaintext, self.channel, self.role.rng,
+                                      net.now())
             net.record_server_session(self.role.name, self.scep)
             return reply
-        self.auth = self.scep.verify(request.data)
+        self.auth = self.scep.verify(plaintext)
         net.record_server_authenticated(self.scep, self.auth)
         return None
 
-    def _request(self, request: Payload) -> Payload:
-        fields_ = wire.unpack_fields(request.data)
+    def _request(self, plaintext: bytes, term) -> terms.Sealed:
+        fields_ = wire.unpack_fields(plaintext)
         tag = fields_[0] if fields_ else b""
         name = self.role.requests.get(tag)
         if name is None:
             raise DecodeError(f"no handler for request {tag!r}")
-        reply = getattr(self.role, name)(self, request, fields_)
+        reply = getattr(self.role, name)(self, plaintext, term, fields_)
         return channel_send(self.channel, reply)
 
 
@@ -387,7 +388,9 @@ class ServerRole:
     """Shared shape of every network-facing server role.
 
     ``requests`` names the method that answers each request tag, called as
-    ``method(conn, request, fields_)``; a corrupt role overrides it.
+    ``method(conn, plaintext, term, fields_)`` with the request's opened
+    bytes, the term its sender sealed and its fields; a corrupt role
+    overrides it.
     """
 
     requires_scep = True
@@ -420,16 +423,14 @@ class KeyserverRole(ServerRole):
     requests = {b"ks-eval": "_eval"}
 
     def __init__(self, name, backend, tls_identity, tls_key,
-                 scep_config: ScepServerConfig, share: KeyShare, rng,
-                 resumption_allowed=False):
-        super().__init__(name, backend, tls_identity, tls_key, rng,
-                         resumption_allowed)
+                 scep_config: ScepServerConfig, share: KeyShare, rng):
+        super().__init__(name, backend, tls_identity, tls_key, rng)
         self.scep_config = scep_config
         self.share = share
         self.ledger = RateLimitLedger()
 
-    def _eval(self, conn: ServerConnection, request: Payload,
-              fields_: list) -> Payload:
+    def _eval(self, conn: ServerConnection, plaintext: bytes, term,
+              fields_: list) -> terms.Cat:
         if len(fields_) < 2:
             raise DecodeError("malformed eval request")
         cookie = fields_[1]
@@ -443,11 +444,11 @@ class KeyserverRole(ServerRole):
             raise RateLimited(
                 f"window budget exceeded for sigma {conn.auth.sigma.hex()}")
         out_terms = []
-        in_terms = _element_terms_of(request.term, len(element_bytes))
+        in_terms = _element_terms_of(term, len(element_bytes))
         for b, t in zip(element_bytes, in_terms):
             res = eval_share(self.share, self.backend.decode_element(b)).encode()
             out_terms.append(_extend_element_term(t, self.share.value, res))
-        return Payload.of(terms.cat(TAG_KS_EVAL_OK, *out_terms))
+        return terms.cat(TAG_KS_EVAL_OK, *out_terms)
 
     def long_term_key_atoms(self):
         return super().long_term_key_atoms() + [
@@ -507,13 +508,13 @@ class HashedDbRole(ServerRole):
                         terms.blob(wire.pack_str(device_id), "text"),
                         terms.Atom("code", wire.pack_str(code)),
                         terms.blob(wire.pack_u64(now), "text"))
-        reply = ServerLink(conn, session).request(Payload.of(req))
+        reply = ServerLink(conn, session).request(req)
         return reply == [b"auth-ok"]
 
-    def _query(self, conn: ServerConnection, request: Payload,
-               fields_: list) -> Payload:
+    def _query(self, conn: ServerConnection, plaintext: bytes, term,
+               fields_: list) -> terms.Cat:
         response = hdb_lookup(
-            self.db, QueryRequest.decode(request.data), self.ledger,
+            self.db, QueryRequest.decode(plaintext), self.ledger,
             self.net.now(), expected_cookie=conn.scep.omega,
             sigma=conn.auth.sigma, mu=conn.auth.rate_limit,
             exemption_root=self.exemption_root,
@@ -523,8 +524,8 @@ class HashedDbRole(ServerRole):
         sig = b""
         if self.bind_responses:
             sig = self.scep_config.signing_key.sign(wire.digest_fields(
-                b"response-binding", request.data, core))
-        return Payload.of(terms.cat(terms.blob(core), terms.blob(sig)))
+                b"response-binding", plaintext, core))
+        return terms.cat(terms.blob(core), terms.blob(sig))
 
     def long_term_key_atoms(self):
         return super().long_term_key_atoms() + [
@@ -543,14 +544,14 @@ class AuthBackendRole(ServerRole):
         super().__init__(name, backend, tls_identity, tls_key, rng)
         self.devices = devices
 
-    def _verify(self, conn: ServerConnection, request: Payload,
-                fields_: list) -> Payload:
+    def _verify(self, conn: ServerConnection, plaintext: bytes, term,
+                fields_: list) -> terms.Cat:
         if len(fields_) != 4:
             raise DecodeError("malformed auth-verify")
         _, dev, code, ts = fields_
         ok = auth_backend_verify(self.devices, wire.unpack_str(dev),
                                  wire.unpack_str(code), wire.unpack_u64(ts))
-        return _tag_payload(b"auth-ok" if ok else b"auth-reject")
+        return _tag_term(b"auth-ok" if ok else b"auth-reject")
 
 
 # --- synthesizer ---------------------------------------------------------------------
@@ -594,9 +595,8 @@ class SynthesizerRole:
         if try_resume and self._hdb_session is not None:
             if self.config.resumption:
                 resumed = resume_session(self._hdb_session)
-                reply = conn.send(Payload.of(terms.cat(
-                    TAG_RESUME,
-                    terms.blob(self._hdb_session.session_id()))))
+                reply = conn.send(terms.cat(
+                    TAG_RESUME, terms.blob(self._hdb_session.session_id())))
                 if wire.unpack_fields(reply) == [b"resume-ok"]:
                     session = resumed
                     net.note(f"resumed channel to {server}")
@@ -627,8 +627,8 @@ class SynthesizerRole:
         """One eval round against every linked keyserver; returns keyed hashes."""
         responses_by_ks = []
         for link in links:
-            reply = link.request(Payload.of(terms.cat(
-                TAG_KS_EVAL, terms.Atom("cookie", link.scep.cookie), *blinded)))
+            reply = link.request(terms.cat(
+                TAG_KS_EVAL, terms.Atom("cookie", link.scep.cookie), *blinded))
             if len(reply) != len(blinded) + 1 or reply[0] != b"ks-eval-ok":
                 raise DecodeError("unexpected keyserver reply")
             index = link.scep.server_chain.token.payload.share_index
@@ -667,13 +667,13 @@ class SynthesizerRole:
 
     def _hdb_round(self, link: ServerLink, request: QueryRequest
                    ) -> QueryResponse:
-        payload = encode_query_payload(request)
-        reply = link.request(payload)
+        query = query_term(request)
+        reply = link.request(query)
         if len(reply) != 2:
             raise DecodeError("database response is not (core, signature)")
         core, sig = reply
         if self.config.bind_responses:
-            expected = wire.digest_fields(b"response-binding", payload.data,
+            expected = wire.digest_fields(b"response-binding", query.data,
                                           core)
             server_key = link.scep.server_chain.token.subject_key
             if not sig or not server_key.verify(expected, sig):

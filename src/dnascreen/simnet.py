@@ -6,6 +6,12 @@ seed) yields byte-identical transcripts: all randomness flows from one
 seeded generator, the clock only moves when told to, and roles run strictly
 one event at a time (nested dials included).
 
+Messages cross the network as terms (``terms``): a message's wire bytes are
+its ``data``, and a record is the ``Sealed`` term ``channel_send`` framed.
+Delivery hands the receiver the message; a server parses its bytes, and
+pairs a record's opened plaintext with the term its sender sealed
+(``screening.ServerConnection.handle``).
+
 The transcript is the network's one log: the adversary's closure reads the
 terms its events keep (``Event.term``, never rendered), notes are its
 ``note`` events, and record slots are read off each record's ``Sealed`` term.
@@ -26,7 +32,6 @@ from dataclasses import dataclass
 from . import terms
 from .channel import ChannelSession
 from .errors import MessageDropped, ScreeningError, ScriptError
-from .terms import Payload
 
 CLOCK_START = 1_000_000_000
 
@@ -44,7 +49,7 @@ class Event:
     note: str = ""
     sender: str = "-"
     receiver: str = "-"
-    view: str = ""  # structural view of the payload, decrypted where known
+    view: str = ""  # structural view of the message, decrypted where known
     term: object = None  # what the adversary read here; not rendered
 
     def render(self) -> str:
@@ -125,13 +130,14 @@ class Conn:
         self.index = index
         self.msg_count = {"c2s": 0, "s2c": 0}
 
-    def send(self, payload) -> bytes | None:
-        if isinstance(payload, bytes):
-            payload = Payload.opaque(payload)
-        delivered = self.net.transfer(self, "c2s", payload)
+    def send(self, msg) -> bytes | None:
+        """Deliver a message (plain bytes go as a blob); the reply's bytes."""
+        if isinstance(msg, bytes):
+            msg = terms.blob(msg)
+        delivered = self.net.transfer(self, "c2s", msg)
         if delivered is None:
             raise MessageDropped(f"message on {self.link} dropped in transit")
-        reply = self.handler.handle(delivered.data, delivered.term)
+        reply = self.handler.handle(delivered)
         if reply is None:
             return None
         back = self.net.transfer(self, "s2c", reply)
@@ -150,7 +156,7 @@ class SimNetwork:
         self.roles = {}
         self.corrupt: set[str] = set()
         self.taps: list[TapRule] = []
-        self.captured: dict[str, Payload] = {}
+        self.captured: dict = {}  # name -> the message captured
         self._conn_counts: dict[str, int] = {}
         self._last_conn: dict[str, Conn] = {}
         # Adversary view and scenario bookkeeping.
@@ -194,17 +200,17 @@ class SimNetwork:
 
     # -- transfer with taps --
 
-    def transfer(self, conn: Conn, direction: str, payload: Payload
-                 ) -> Payload | None:
-        # a record's term is the Sealed one that channel_send framed
-        if isinstance(payload.term, terms.Sealed):
-            kind, rec_seq = "record", payload.term.seq
+    def transfer(self, conn: Conn, direction: str, msg):
+        """The message delivered in place of ``msg``, or None if dropped."""
+        # a record is the Sealed term that channel_send framed
+        if isinstance(msg, terms.Sealed):
+            kind, rec_seq = "record", msg.seq
         else:
             kind, rec_seq = "hs", None
         nth = conn.msg_count[direction]
         conn.msg_count[direction] += 1
 
-        delivered = payload
+        delivered = msg
         note = ""
         for rule in self.taps:
             if rule.fired or not rule.selector.matches(
@@ -212,7 +218,7 @@ class SimNetwork:
                 continue
             rule.fired = True
             if rule.action == "capture":
-                self.captured[rule.name] = payload
+                self.captured[rule.name] = msg
                 note = f"captured as {rule.name}"
             elif rule.action == "replace":
                 if rule.name not in self.captured:
@@ -220,7 +226,7 @@ class SimNetwork:
                 delivered = self.captured[rule.name]
                 note = f"replaced with {rule.name}"
             elif rule.action == "replace-hex":
-                delivered = Payload.opaque(rule.data)
+                delivered = terms.blob(rule.data)
                 note = "replaced with injected bytes"
             elif rule.action == "drop":
                 delivered = None
@@ -230,18 +236,18 @@ class SimNetwork:
                             else (conn.dst, conn.src))
         self.transcript.add(clock=self.clock, kind=kind, link=conn.link,
                             conn=conn.index, direction=direction, seq=rec_seq,
-                            data=payload.data, note=note,
+                            data=msg.data, note=note,
                             sender=sender, receiver=receiver,
-                            view=terms.render_term(payload.term),
+                            view=terms.render_term(msg),
                             # the adversary reads everything entering the network
-                            term=payload.term)
-        if delivered is not payload and delivered is not None:
+                            term=msg)
+        if delivered is not msg and delivered is not None:
             self.transcript.add(clock=self.clock, kind="adv", link=conn.link,
                                 conn=conn.index, direction=direction,
                                 seq=rec_seq, data=delivered.data,
                                 note="delivered in place of the original",
                                 sender="adversary", receiver=receiver,
-                                view=terms.render_term(delivered.term))
+                                view=terms.render_term(delivered))
         if delivered is None:
             self.transcript.add(clock=self.clock, kind="adv", link=conn.link,
                                 conn=conn.index, direction=direction,
@@ -257,13 +263,13 @@ class SimNetwork:
         conn = self._last_conn.get(link)
         if conn is None:
             raise ScriptError(f"no live connection on {link}")
-        term = Payload.opaque(data).term
+        msg = terms.blob(data)
         self.transcript.add(clock=self.clock, kind="inject", link=link,
                             conn=conn.index, direction="c2s",
                             seq=None, data=data, note="adversary injection",
-                            term=term)
+                            term=msg)
         try:
-            conn.handler.handle(data, term)
+            conn.handler.handle(msg)
         except ScreeningError as e:  # typed rejections are noted, not raised
             self.note(f"injection rejected: {type(e).__name__}")
 

@@ -1,24 +1,30 @@
 """Formal terms of wire messages for the adversary-knowledge closure.
 
-A message is built once, as a term; ``encode`` derives its wire bytes by
-packing each ``Cat``'s parts as length-prefixed fields, so the structure the
-closure engine splits, decrypts, and exponentiates is exactly the structure
-on the wire. The bytes stay ground truth for transcripts and byte-level
-tampering. Record frames, and requests opened or relayed under the term they
-arrived with, pair bytes and term explicitly in a ``Payload``; every message
-a role builds is its term's encoding. Atom labels are derived from content
-hashes, so equal values get equal labels with no plumbing.
+A message is its term. Every term reads its wire bytes as ``.data``: an
+``Atom`` and an ``ExpTerm`` hold theirs, a ``Sealed`` holds its ciphertext
+(a record's whole frame, with ``start`` past the header), and a ``Cat``
+packs its parts' ``data`` as length-prefixed fields on each read. So the
+structure the closure engine splits, decrypts and exponentiates is exactly
+the structure on the wire, and the bytes stay ground truth for transcripts
+and byte-level tampering. The one place bytes and a term are paired is a
+server's opened request: the plaintext it decrypted and the term the sender
+sealed (``screening.ServerConnection.handle``). Atom labels are derived from
+content hashes, so equal values get equal labels with no plumbing.
 
 A run keeps every term that crossed its network, so terms hold no bytes twice
-and carry no per-instance ``__dict__``: a record's ``Sealed`` keeps the frame
-its transcript event keeps and reads its ciphertext off it, and fixed message
-tags are atoms bound once per module.
+and carry no per-instance ``__dict__``: a ``Cat`` stores no bytes at all, a
+record's ``Sealed`` keeps the frame its transcript event keeps and reads its
+ciphertext off it, and fixed message tags are atoms bound once per module.
 """
 
 import hashlib
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from . import wire
+
+
+_DATA = attrgetter("data")
 
 
 def atom_label(kind: str, data: bytes) -> str:
@@ -44,14 +50,20 @@ class Cat:
 
     parts: tuple
 
+    @property
+    def data(self) -> bytes:
+        """The parts' ``data`` packed as fields, on each read: never stored."""
+        return wire.pack_fields(*map(_DATA, self.parts))
+
 
 @dataclass(frozen=True, slots=True)
 class Sealed:
     """AEAD ciphertext under the key identified by key_label at seq.
 
-    The ciphertext is ``data[start:]``: a record's term keeps its whole frame
-    with ``start`` past the header, the frame its transcript event keeps, so
-    the run holds those bytes once.
+    The ciphertext is ``data[start:]``. A record's term is the record: its
+    ``data`` is the whole frame, with ``start`` past the header, the frame
+    its transcript event keeps, so the run holds those bytes once. A sealed
+    part of a message (a handshake finished) has ``start`` 0.
     """
 
     key_label: str
@@ -100,31 +112,6 @@ def element_atom(data: bytes) -> Atom:
 
 def cat(*parts) -> Cat:
     return Cat(tuple(parts))
-
-
-def encode(term) -> bytes:
-    """The wire bytes of a term: a Cat packs its parts' encodings as fields."""
-    if isinstance(term, Cat):
-        return wire.pack_fields(*map(encode, term.parts))
-    if isinstance(term, Sealed):
-        return term.ct
-    return term.data  # Atom, ExpTerm
-
-
-@dataclass(frozen=True, slots=True)
-class Payload:
-    """Wire bytes plus their structural term."""
-
-    data: bytes
-    term: object
-
-    @classmethod
-    def of(cls, term) -> "Payload":
-        return cls(encode(term), term)
-
-    @classmethod
-    def opaque(cls, data: bytes) -> "Payload":
-        return cls(data, Atom("blob", data))
 
 
 def term_key(term) -> tuple:

@@ -5,11 +5,16 @@ from dataclasses import dataclass, replace
 import pytest
 
 from dnascreen import errors, scep, terms, wire
-from dnascreen.channel import channel_send, handshake_client
-from dnascreen.errors import DecodeError, Revoked, ScreeningError
+from dnascreen.channel import channel_recv, channel_send, handshake_client
+from dnascreen.errors import (
+    BadClientSig,
+    BadCookie,
+    DecodeError,
+    Revoked,
+    ScreeningError,
+)
 from dnascreen.scenarios import CLEAN_SEQUENCES, ScenarioConfig, build_world
 from dnascreen.screening import open_reply
-from dnascreen.terms import Payload
 
 ORDER = [CLEAN_SEQUENCES[0], CLEAN_SEQUENCES[1]]
 
@@ -46,25 +51,25 @@ def test_auth_verify_with_wrong_field_count(world, fields_):
         open_reply(session, reply)
 
 
-def _stub(role, tag: bytes, payload: Payload):
-    """The role answers requests tagged ``tag`` with ``payload``."""
+def _stub(role, tag: bytes, reply):
+    """The role answers requests tagged ``tag`` with the message ``reply``."""
     setattr(role, role.requests[tag],
-            lambda conn, request, fields_: payload)
+            lambda conn, plaintext, term, fields_: reply)
 
 
-@pytest.mark.parametrize("payload", [
-    Payload.of(terms.cat(terms.blob(b"ks-eval-ok", "text"),
-                         terms.element_atom(b"\x00\x00\x00\x02"))),
-    Payload.opaque(b""),
+@pytest.mark.parametrize("reply", [
+    terms.cat(terms.blob(b"ks-eval-ok", "text"),
+              terms.element_atom(b"\x00\x00\x00\x02")),
+    terms.blob(b""),
 ], ids=["fewer-elements", "empty-record"])
-def test_short_keyserver_reply(world, payload):
-    _stub(world.keyservers["K1"], b"ks-eval", payload)
+def test_short_keyserver_reply(world, reply):
+    _stub(world.keyservers["K1"], b"ks-eval", reply)
     with pytest.raises(DecodeError):
         world.synth.basic_query(ORDER)
 
 
 def test_empty_database_reply(world):
-    _stub(world.hdb, b"hdb-query", Payload.opaque(b""))
+    _stub(world.hdb, b"hdb-query", terms.blob(b""))
     with pytest.raises(DecodeError):
         world.synth.basic_query(ORDER)
 
@@ -76,7 +81,7 @@ def test_empty_database_reply(world):
 ])
 def test_malformed_error_record(world, fields_):
     _stub(world.keyservers["K1"], b"ks-eval",
-          Payload.opaque(wire.pack_fields(*fields_)))
+          terms.blob(wire.pack_fields(*fields_)))
     with pytest.raises(DecodeError):
         world.synth.basic_query(ORDER)
 
@@ -98,6 +103,47 @@ def test_relayed_scep_rejection_reaches_the_synthesizer_typed():
     revocations.revoked_sigma.add(world.synth.chain.token.sigma)
     with pytest.raises(Revoked):
         world.synth.basic_query(ORDER)
+
+
+@pytest.mark.parametrize("server", ["K1", "H"])
+def test_finish_after_a_rejected_hello(world, server):
+    # the hello is refused and no cookie issued: the finish that follows is
+    # an error record too, and the server authenticates no one
+    world.net.roles[server].scep_config.revocations.revoke_sigma(
+        world.synth.chain.token.sigma)
+    conn = world.net.dial("S", server)
+    session = handshake_client(conn.send, server, world.channel_ca.verify_key,
+                               world.backend, world.net.rng)
+    hello = scep.encode_hello(b"\x00" * scep.NONCE_SIZE, world.synth.chain)
+    with pytest.raises(Revoked):
+        open_reply(session, conn.send(channel_send(session, hello)))
+    finish = scep.encode_finish(b"\x00" * scep.COOKIE_SIZE, b"sig")
+    with pytest.raises(BadCookie, match="in state Failed"):
+        open_reply(session, conn.send(channel_send(session, finish)))
+    assert not list(world.net.honest_authenticated_sessions())
+
+
+@pytest.mark.parametrize("server", ["K1", "H"])
+def test_finish_after_a_rejected_finish(world, server):
+    # a server takes one finish per session: after a forged signature is
+    # refused, the client's own valid finish is refused too
+    synth = world.synth
+    client = scep.ScepClientSession(synth.config.scep_variant, synth.chain,
+                                    synth.signing_key, synth.trusted_infra_root,
+                                    world.net.rng)
+    conn = world.net.dial("S", server)
+    session = handshake_client(conn.send, server, world.channel_ca.verify_key,
+                               world.backend, world.net.rng)
+    respond = channel_recv(session, conn.send(client.hello(session)))
+    omega = scep.decode_respond(respond)[0]
+    forged = scep.encode_finish(omega, b"\x00" * 64)
+    with pytest.raises(BadClientSig):
+        open_reply(session, conn.send(channel_send(session, forged)))
+    reply = conn.send(client.finish(respond, session, world.net.now()))
+    assert reply is not None
+    with pytest.raises(BadCookie, match="in state Failed"):
+        open_reply(session, reply)
+    assert not list(world.net.honest_authenticated_sessions())
 
 
 ERROR_CLASSES = [obj for obj in vars(errors).values()

@@ -5,10 +5,16 @@ import random
 import pytest
 
 from dnascreen import pki, wire
-from dnascreen.channel import channel_recv, handshake_pair, issue_tls_identity
+from dnascreen.channel import (
+    channel_recv,
+    channel_send,
+    handshake_pair,
+    issue_tls_identity,
+)
 from dnascreen.crypto import TEST_BACKEND, SigningKey
 from dnascreen.errors import (
     BadClientChain,
+    BadClientSig,
     BadCookie,
     BadServerChain,
     BadServerSig,
@@ -27,9 +33,9 @@ from dnascreen.scep import (
     ScepClientSession,
     ScepServerConfig,
     ScepServerSession,
-    STATE_FINISHED,
     WINDOW_SECONDS,
     decode_hello,
+    encode_finish,
 )
 
 B = TEST_BACKEND
@@ -116,8 +122,7 @@ def run_scep(world, variant, client=None, server_cfg=None, server_chains=None):
 def test_honest_roundtrip_reaches_finished(variant):
     world = World()
     client, server, auth = run_scep(world, variant)
-    assert client.state == STATE_FINISHED
-    assert server.state == STATE_FINISHED
+    assert client.agreed() == server.agreed()
     assert isinstance(auth, Authenticated)
     assert auth.sigma == world.s_chain.token.sigma
     assert auth.rate_limit == 100
@@ -179,6 +184,29 @@ def test_bad_client_chain_rejected():
     hello = client.hello(c_ch)
     with pytest.raises(BadClientChain):
         server.respond(channel_recv(s_ch, hello.data), s_ch, world.rng, NOW)
+    # no cookie was issued: any finish after the rejected hello is refused
+    finish = channel_send(c_ch, encode_finish(b"\x00" * 32, b"sig"))
+    with pytest.raises(BadCookie, match="in state Failed"):
+        server.verify(channel_recv(s_ch, finish.data))
+
+
+def test_finish_after_a_rejected_finish_is_refused():
+    # the server takes one finish per session: after a bad signature, the
+    # client's valid finish finds the session failed
+    world = World()
+    c_ch, s_ch = world.channels()
+    client = world.client(SCEP)
+    server = ScepServerSession(world.server_config(SCEP))
+    hello = client.hello(c_ch)
+    respond = server.respond(channel_recv(s_ch, hello.data), s_ch, world.rng,
+                             NOW)
+    respond_plain = channel_recv(c_ch, respond.data)
+    forged = channel_send(c_ch, encode_finish(server.omega, b"\x00" * 64))
+    with pytest.raises(BadClientSig):
+        server.verify(channel_recv(s_ch, forged.data))
+    finish = client.finish(respond_plain, c_ch, NOW)
+    with pytest.raises(BadCookie, match="in state Failed"):
+        server.verify(channel_recv(s_ch, finish.data))
 
 
 def test_server_token_must_match_channel_peer():
@@ -223,8 +251,6 @@ def test_wrong_cookie_in_finish():
     respond = server.respond(channel_recv(s_ch, hello.data), s_ch, world.rng,
                              NOW)
     channel_recv(c_ch, respond.data)
-    from dnascreen.scep import encode_finish
-    from dnascreen.channel import channel_send
     bad = channel_send(c_ch, encode_finish(b"\x00" * 32, b"sig"))
     with pytest.raises(BadCookie):
         server.verify(channel_recv(s_ch, bad.data))

@@ -38,12 +38,11 @@ from dnascreen.screening import (
     Verdict,
     auth_backend_verify,
     build_hdb,
-    encode_query_payload,
     hdb_lookup,
     oracle_query,
+    query_term,
     totp_code,
 )
-from dnascreen.terms import Payload
 
 B = TEST_BACKEND
 NOW = 1_000_000_000
@@ -213,7 +212,7 @@ def test_query_message_roundtrips():
     part = ExemptionPart(b"chainbytes", "123456",
                          [doprf_direct(b"x", k).encode()])
     req = _request(k, [b"abc", b"def"], exemption=part)
-    again = QueryRequest.decode(encode_query_payload(req).data)
+    again = QueryRequest.decode(query_term(req).data)
     assert again.hashed == req.hashed
     assert again.exemption.auth_code == "123456"
     resp = QueryResponse([Verdict(HIT, "n", "r"), Verdict(CLEAR)], DENY)
@@ -319,13 +318,34 @@ def test_database_resumes_only_a_session_it_cached():
         world = build_world(ScenarioConfig(resumption=resumption), seed=29)
         world.synth.basic_query([CLEAN_SEQUENCES[0]])
         assert bool(world.hdb.session_cache) is resumption
-        resume = Payload.of(terms.cat(TAG_RESUME, terms.blob(
-            world.synth._hdb_session.session_id())))
+        resume = terms.cat(TAG_RESUME, terms.blob(
+            world.synth._hdb_session.session_id()))
         sent.append(resume.data)
         reply = world.net.dial("S", "H").send(resume)
         answers.append(wire.unpack_fields(reply))
     assert sent[0] == sent[1]
     assert answers == [[b"resume-ok"], [b"resume-reject"]]
+
+
+def test_keyservers_cache_no_session():
+    # only the database offers resumption: a keyserver caches nothing, so
+    # S's own K1 session id gets resume-reject even with resumption on
+    world = build_world(ScenarioConfig(resumption=True), seed=29)
+    links = []
+    connect = world.synth._connect
+
+    def recording(server, try_resume=False):
+        links.append(connect(server, try_resume))
+        return links[-1]
+
+    world.synth._connect = recording
+    world.synth.basic_query([CLEAN_SEQUENCES[0]])
+    world.synth.basic_query([CLEAN_SEQUENCES[1]], resume_hdb=True)
+    assert [ks.session_cache for ks in world.keyservers.values()] == [{}] * 3
+    k1 = next(link.channel for link in links if link.conn.dst == "K1")
+    reply = world.net.dial("S", "K1").send(terms.cat(
+        TAG_RESUME, terms.blob(k1.session_id())))
+    assert wire.unpack_fields(reply) == [b"resume-reject"]
 
 
 @pytest.mark.parametrize("resumption", [False, True])

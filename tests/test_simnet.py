@@ -170,7 +170,7 @@ def test_inject_raises_an_untyped_server_failure():
         def open_connection(self):
             return self
 
-        def handle(self, data, term):
+        def handle(self, msg):
             raise ValueError("not a typed rejection")
 
     net = SimNetwork(seed=1)
@@ -192,8 +192,8 @@ def test_swap_tap_replaces_bytes():
             outer = self
 
             class C:
-                def handle(self, data, term=None):
-                    return terms.Payload.opaque(b"reply:" + data)
+                def handle(self, msg):
+                    return terms.blob(b"reply:" + msg.data)
             return C()
 
         def long_term_key_atoms(self):
@@ -308,9 +308,8 @@ def test_channel_confidentiality_closure():
     kn = Knowledge(B)
     for i in range(8):
         secret = terms.Atom("blob", b"plaintext-%d" % i)
-        payload = terms.Payload(b"plaintext-%d" % i, secret)
-        rec = channel_send(client if i % 2 == 0 else server, payload)
-        kn.add(rec.term, "tapped")
+        rec = channel_send(client if i % 2 == 0 else server, secret)
+        kn.add(rec, "tapped")
     kn.close()
     for i in range(8):
         assert kn.holds_bytes(b"plaintext-%d" % i) is None

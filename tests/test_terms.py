@@ -1,10 +1,10 @@
-"""Each message's formal term encodes to exactly the bytes on the wire."""
+"""A message is its term: every term reads its wire bytes as ``.data``."""
 
 import pytest
 
-from dnascreen import attacks, channel, scep, screening, terms, wire
-from dnascreen.simnet import Event, SimNetwork
-from dnascreen.terms import Payload
+from dnascreen import attacks, terms, wire
+from dnascreen.screening import ServerConnection
+from dnascreen.simnet import Event
 
 
 def test_encode_nested_cat_sealed_and_exp_terms():
@@ -14,44 +14,46 @@ def test_encode_nested_cat_sealed_and_exp_terms():
     term = terms.cat(terms.blob(b"tag", "text"),
                      terms.cat(blinded, terms.cat()),
                      sealed, terms.nonce(b""))
-    assert terms.encode(term) == wire.pack_fields(
+    assert term.data == wire.pack_fields(
         b"tag", wire.pack_fields(b"\x00\x00\x00\x09", b""), b"ciphertext", b"")
-    assert terms.encode(sealed) == b"ciphertext"
-    assert terms.encode(blinded) == blinded.data
-    assert Payload.of(term) == Payload(terms.encode(term), term)
+    assert sealed.data == sealed.ct == b"ciphertext"
+    # a record's Sealed is the whole frame; its ciphertext follows the header
+    record = terms.Sealed("key:cd", 0, term, b"header" + b"ciphertext", 6)
+    assert record.ct == b"ciphertext"
+    # a Cat packs its bytes on each read and stores none
+    assert terms.Cat.__slots__ == ("parts",)
 
 
-def test_every_shipped_message_is_its_terms_encoding(monkeypatch):
-    checked = []
+def test_every_opened_request_is_its_senders_term(monkeypatch):
+    # a server parses the plaintext it opened and hands its handler the term
+    # the sender sealed: on every record of every shipped scenario they agree
+    opened = []
 
-    def check(payload):
-        if isinstance(payload, bytes):
-            return  # sent as an opaque blob, which encodes to itself
-        assert terms.encode(payload.term) == payload.data, \
-            terms.render_term(payload.term)
-        checked.append(payload)
+    def checking(method):
+        def wrapper(conn, plaintext, term):
+            assert plaintext == term.data, terms.render_term(term)
+            opened.append((conn.role.name, plaintext))
+            return method(conn, plaintext, term)
+        return wrapper
 
-    original_send = channel.channel_send
+    for cls in (ServerConnection, attacks._MitmConnection):
+        monkeypatch.setattr(cls, "_scep_step", checking(cls._scep_step))
+    monkeypatch.setattr(ServerConnection, "_request",
+                        checking(ServerConnection._request))
 
-    def checked_send(session, payload):
-        check(payload)
-        return original_send(session, payload)
-
-    for mod in (channel, scep, screening, attacks):
-        monkeypatch.setattr(mod, "channel_send", checked_send)
-
-    original_transfer = SimNetwork.transfer
-
-    def checked_transfer(self, conn, direction, payload):
-        if not isinstance(payload.term, terms.Sealed):
-            check(payload)
-        return original_transfer(self, conn, direction, payload)
-
-    monkeypatch.setattr(SimNetwork, "transfer", checked_transfer)
-
+    checked = relayed = 0
     for run in attacks.all_scenarios().values():
-        run(1)
-    assert len(checked) > 500
+        opened.clear()
+        world = run(1).world
+        checked += len(opened)
+        mitm = world.keyservers["K1"]
+        if isinstance(mitm, attacks.MitmKeyserver):
+            # the relay's target opens the very hello the relay received
+            hello = next(p for name, p in opened if name == mitm.name)
+            assert (mitm.target, hello) in opened
+            relayed += 1
+    assert relayed == 2
+    assert checked > 300
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +70,6 @@ def test_a_records_term_shares_its_events_frame(shipped_transcripts):
         assert isinstance(ev.term, terms.Sealed)
         assert ev.term.data is ev.data
         assert ev.term.ct == ev.data[13:]
-        assert terms.encode(ev.term) == ev.data[13:]
     assert len(records) > 500
 
 
@@ -102,7 +103,6 @@ def test_fixed_tags_are_one_atom_each(shipped_transcripts):
     terms.cat(),
     terms.Sealed("key:cd", 0, terms.cat(), b"ct"),
     terms.ExpTerm(terms.element_atom(b"\x05"), (), b"\x05"),
-    Payload.opaque(b"x"),
     Event(step=0, clock=0, kind="note", link="-", conn=0, direction="-",
           seq=None, data=b""),
 ], ids=lambda obj: type(obj).__name__)
